@@ -6,7 +6,14 @@ against their dimension-dependent upper bounds and the Haar-moment identities
 behind them.
 """
 
-from .circuits import CircuitEnsemble, GateSpec, LocalUnitaryParams, assemble, sample_circuit
+from .circuits import (
+    CircuitEnsemble,
+    GateProgram,
+    GateSpec,
+    LocalUnitaryParams,
+    assemble,
+    sample_circuit,
+)
 from .harness import ExperimentConfig, ExperimentRow, fit_slope, run_layer_sweep, run_scaling
 from .landscape import (
     AdamConfig,
@@ -29,6 +36,7 @@ __all__ = [
     "CircuitEnsemble",
     "ExperimentConfig",
     "ExperimentRow",
+    "GateProgram",
     "GateSpec",
     "LocalUnitaryParams",
     "Operator",

@@ -1,8 +1,9 @@
 """Parameterized gates, the layered hardware-efficient ansatz, and circuit assembly.
 
-Rotation convention: R_P(theta) = exp(-i theta P / 2). Circuits are
-materialized as dense unitaries because the variation-range optimization
-re-evaluates the cost for many local gates while V1, V2 stay fixed.
+Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
+``GateProgram``: an ordered gate list applied to a block of state vectors at
+O(2^n) per gate and column, so no 2^n x 2^n matrix is formed. Its dense
+unitary is available through ``np.asarray`` for small-n checks.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import PAULI, BipartitePartition, DimensionError, kron, permute_qubits
+from .linalg import PAULI, BipartitePartition, DimensionError, kron_aligned
 
 ROTATION_KINDS = ("rx", "ry", "rz")
+GATE_KINDS = ROTATION_KINDS + ("cz",)
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,9 @@ class GateSpec:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", self.kind.lower())
-        if self.kind not in ROTATION_KINDS + ("cz",):
+        if not self.kind.islower():
+            object.__setattr__(self, "kind", self.kind.lower())
+        if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cz" and self.control is None:
             raise ValueError("cz gate needs a control qubit")
@@ -88,7 +91,7 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     """exp(-i theta P / 2) for P in {X, Y, Z}."""
     p = PAULI[axis.upper()]
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return c * np.eye(2, dtype=complex) - 1j * s * p
+    return c * PAULI["I"] - 1j * s * p
 
 
 def euler_zyz(phi: float, theta: float, alpha: float) -> np.ndarray:
@@ -96,76 +99,137 @@ def euler_zyz(phi: float, theta: float, alpha: float) -> np.ndarray:
     return rotation("z", phi) @ rotation("y", theta) @ rotation("z", alpha)
 
 
-@lru_cache(maxsize=None)
-def _cz_chain_diag(n: int) -> np.ndarray:
-    """Diagonal of the nearest-neighbor CZ chain on qubits 0..n-1."""
-    diag = np.ones(2**n)
-    for idx in range(2**n):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        flips = sum(bits[q] and bits[q + 1] for q in range(n - 1))
-        if flips % 2:
-            diag[idx] = -1.0
-    return diag
+_PAULI_XYZ = np.stack([PAULI[a] for a in "XYZ"])
 
 
-def _cz_diag(n: int, control: int, target: int) -> np.ndarray:
-    diag = np.ones(2**n)
-    for idx in range(2**n):
-        if (idx >> (n - 1 - control)) & 1 and (idx >> (n - 1 - target)) & 1:
-            diag[idx] = -1.0
-    return diag
+def _rotation_matrices(gates: list[GateSpec]) -> np.ndarray:
+    """rotation(g.kind[1], g.angle) for every gate at once, shape (len(gates), 2, 2)."""
+    theta = np.array([g.angle for g in gates], dtype=float)[:, None, None]
+    p = _PAULI_XYZ[[ROTATION_KINDS.index(g.kind) for g in gates]]
+    return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * p
 
 
-def apply_single_qubit(mat: np.ndarray, gate2: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Left-multiply a single-qubit gate on qubit q into a dense d x d matrix."""
-    d = 2**n
-    view = mat.reshape(2**q, 2, 2 ** (n - 1 - q), d)
-    return np.einsum("ab,xbyc->xayc", gate2, view).reshape(d, d)
+def apply_single_qubit(states: np.ndarray, gate2: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Left-multiply a single-qubit gate on qubit q into a (2^n, ...) array.
+
+    The array is a state vector, a block of column states, or a dense matrix.
+    """
+    if states.shape[0] != 2**n:
+        raise DimensionError(f"state dim {states.shape[0]} != 2^{n}")
+    view = states.reshape(2**q, 2, -1)
+    if view.shape[0] <= view.shape[2]:
+        # few, wide blocks: one batched matrix product
+        return np.matmul(gate2, view).reshape(states.shape)
+    # many narrow blocks, where matmul loops over the batch:
+    # out[:, a] = gate2[a, 0] view[:, 0] + gate2[a, 1] view[:, 1], broadcast over a
+    out = gate2[:, :1] * view[:, :1] + gate2[:, 1:] * view[:, 1:]
+    return out.reshape(states.shape)
+
+
+@lru_cache(maxsize=64)
+def _cz_signs(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Diagonal of the product of CZ gates on the qubit pairs: -1 where an odd
+    number of pairs has both qubits set."""
+    idx = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=int)
+    for a, b in pairs:
+        parity ^= (idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1
+    signs = 1.0 - 2.0 * parity
+    signs.flags.writeable = False  # shared by every caller through the cache
+    return signs
+
+
+@dataclass(frozen=True)
+class GateProgram:
+    """A circuit on n qubits as an ordered list of bound gates, first gate first.
+
+    ``apply`` acts on state vectors; ``np.asarray(program)`` gives the dense
+    unitary, built by applying the program to the identity.
+    """
+
+    n: int
+    gates: tuple[GateSpec, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for g in self.gates:
+            for q in (g.target,) + (() if g.control is None else (g.control,)):
+                if not 0 <= q < self.n:
+                    raise ValueError(f"qubit {q} out of range for n={self.n}")
+            if g.kind != "cz" and g.angle is None:
+                raise ValueError("rotation gate has no angle bound")
+
+    def _steps(self) -> list[tuple[int | None, np.ndarray]]:
+        """(qubit, 2x2 matrix) per rotation and (None, diagonal) per run of CZ gates."""
+        mats = iter(_rotation_matrices([g for g in self.gates if g.kind != "cz"]))
+        steps, pairs = [], []
+        for g in self.gates:
+            if g.kind == "cz":
+                pairs.append((g.control, g.target))
+                continue
+            if pairs:
+                steps.append((None, _cz_signs(self.n, tuple(pairs))))
+                pairs = []
+            steps.append((g.target, next(mats)))
+        if pairs:
+            steps.append((None, _cz_signs(self.n, tuple(pairs))))
+        return steps
+
+    def apply(self, states) -> np.ndarray:
+        """U applied to a (2^n,) vector or to each column of a (2^n, k) block."""
+        out = np.array(states, dtype=complex)
+        if out.shape[0] != 2**self.n:
+            raise DimensionError(f"state dim {out.shape[0]} != 2^{self.n}")
+        column = (-1,) + (1,) * (out.ndim - 1)
+        for q, op in self._steps():
+            if q is None:
+                out = out * op.reshape(column)
+            else:
+                out = apply_single_qubit(out, op, q, self.n)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        u = self.apply(np.eye(2**self.n, dtype=complex))
+        return u if dtype is None else u.astype(dtype, copy=False)
 
 
 def gate_matrix(g: GateSpec, n: int) -> np.ndarray:
     """Full 2^n x 2^n unitary embedding the gate."""
-    for q in (g.target,) + (() if g.control is None else (g.control,)):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for n={n}")
-    if g.kind == "cz":
-        return np.diag(_cz_diag(n, g.control, g.target)).astype(complex)
-    if g.angle is None:
-        raise ValueError("rotation gate has no angle bound")
-    g2 = rotation(g.kind[1], g.angle)
-    return apply_single_qubit(np.eye(2**n, dtype=complex), g2, g.target, n)
+    return np.asarray(GateProgram(n, (g,)))
 
 
-def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> np.ndarray:
-    """Draw one dense unitary from the ensemble."""
+def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram | np.ndarray:
+    """Draw one circuit from the ensemble.
+
+    Every kind but ``haar`` gives a GateProgram; a Haar unitary has no gate
+    form and comes back as a dense matrix.
+    """
     n = ensemble.n
-    d = 2**n
     if ensemble.kind == "identity":
-        return np.eye(d, dtype=complex)
+        return GateProgram(n)
     if ensemble.kind == "haar":
         from .haar import haar_random_unitary
 
-        return haar_random_unitary(d, rng)
+        return haar_random_unitary(2**n, rng)
     if ensemble.kind == "one_design_layer":
-        u = np.eye(1, dtype=complex)
-        for _ in range(n):
+        gates = []
+        # euler_zyz(phi, theta, alpha) = Rz(phi) Ry(theta) Rz(alpha) on each qubit
+        for q in range(n):
             phi, theta, alpha = rng.uniform(0.0, 2 * np.pi, size=3)
-            u = np.kron(u, euler_zyz(phi, theta, alpha))
-        return u
+            gates += [GateSpec("rz", q, angle=alpha), GateSpec("ry", q, angle=theta),
+                      GateSpec("rz", q, angle=phi)]
+        return GateProgram(n, gates)
     # hardware_efficient: Ry(pi/4) on every qubit, then `layers` random layers of
     # uniform-axis rotations plus the nearest-neighbor CZ chain.
-    u = np.eye(1, dtype=complex)
-    ry8 = rotation("y", np.pi / 4)
-    for _ in range(n):
-        u = np.kron(u, ry8)
-    cz = _cz_chain_diag(n)
+    gates = [GateSpec("ry", q, angle=np.pi / 4) for q in range(n)]
+    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
     for _ in range(ensemble.effective_layers):
         axes = rng.integers(0, 3, size=n)
         angles = rng.uniform(0.0, 2 * np.pi, size=n)
-        for q in range(n):
-            u = apply_single_qubit(u, rotation("xyz"[axes[q]], angles[q]), q, n)
-        u = cz[:, None] * u
-    return u
+        gates += [GateSpec(ROTATION_KINDS[a], q, angle=t)
+                  for q, (a, t) in enumerate(zip(axes.tolist(), angles.tolist()))]
+        gates += chain
+    return GateProgram(n, gates)
 
 
 _SU4_GENERATORS: list[np.ndarray] | None = None
@@ -193,11 +257,7 @@ def embed_local(ua: np.ndarray, part: BipartitePartition) -> np.ndarray:
     """Embed a d_A x d_A gate at part.a_sites, identity elsewhere."""
     if ua.shape[0] != part.d_A:
         raise DimensionError(f"local gate dim {ua.shape[0]} != d_A={part.d_A}")
-    full = kron(ua, np.eye(part.d_B, dtype=complex))
-    order = list(part.a_sites) + list(part.b_sites)
-    if order == list(range(part.n)):
-        return full
-    return permute_qubits(full, order)
+    return kron_aligned(ua, np.eye(part.d_B, dtype=complex), part)
 
 
 def assemble(v1, ua, v2, part: BipartitePartition) -> np.ndarray:

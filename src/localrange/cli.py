@@ -9,7 +9,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .harness import ConfigError, ExperimentConfig
+from .costs import heisenberg
+from .harness import BoundViolation, ConfigError, ExperimentConfig
 from .haar import (
     MomentQuery,
     average_reduced_purity,
@@ -26,7 +27,7 @@ from .landscape import (
     variation_range_exact_m1,
     variation_range_grid,
 )
-from .linalg import BipartitePartition, random_density, random_hermitian
+from .linalg import BipartitePartition, random_density, random_hermitian, spectral_width
 
 DEFAULT_LAYER_LIST = "5,20,50,80,95"
 
@@ -221,7 +222,8 @@ def _cmd_selftest(args) -> int:
                            design_kind="two_design", samples=4, seed=args.seed)
     rows = harness.run_scaling(cfg)
     ok &= _check("variation range below its bound on a small sweep",
-                 all(r.mean_delta_over_w * 1.0 <= r.bound_general for r in rows))
+                 all(r.mean_delta_over_w * spectral_width(heisenberg(r.n)) <= r.bound_general
+                     for r in rows))
 
     cfg2 = ExperimentConfig(task="vqe", n_min=2, n_max=2, ensemble_config="both",
                             design_kind="two_design", samples=4, seed=args.seed)
@@ -271,6 +273,9 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"localrange: error: {exc}", file=sys.stderr)
         return 1
+    except BoundViolation as exc:
+        print(f"localrange: bound violated: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import (
     PAULI,
-    BipartitePartition,
     DimensionError,
     as_matrix,
     eig_hermitian,
@@ -18,21 +15,6 @@ from .linalg import (
 
 IMAG_RESIDUE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
-
-
-@dataclass(frozen=True)
-class CostSpec:
-    """Bundle of (task, observable, input state, optional target, partition)."""
-
-    task: str
-    h: np.ndarray
-    rho: np.ndarray
-    part: BipartitePartition
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.task not in ("vqe", "qae", "qsl"):
-            raise ValueError(f"unknown task {self.task!r}")
 
 
 def generic_cost(h, rho, u) -> float:

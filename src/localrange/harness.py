@@ -46,6 +46,10 @@ class ConfigError(ValueError):
     """Experiment configuration failed validation; message names the field."""
 
 
+class BoundViolation(RuntimeError):
+    """A row's mean variation range exceeds the general bound it must obey."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
@@ -171,7 +175,15 @@ def _sample_delta(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, la
 
 
 def _worker_count() -> int | None:
-    raw = os.environ.get("BARREN_THREADS", "0")
+    """Sample threads: BARREN_THREADS, 1 when unset, Python's default when <= 0.
+
+    One worker is the default because a sample's statevector work runs mostly
+    in small numpy calls that hold the interpreter lock, so more threads add
+    memory without adding speed.
+    """
+    raw = os.environ.get("BARREN_THREADS")
+    if raw is None:
+        return 1
     try:
         val = int(raw)
     except ValueError:
@@ -209,7 +221,7 @@ def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
         seed=cfg.seed,
     )
     if row.mean_delta_over_w * inst.w > bound_general:
-        raise AssertionError(
+        raise BoundViolation(
             f"mean variation range {mean} exceeds its bound {bound_general} at n={n}"
         )
     return row

@@ -16,10 +16,9 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from .circuits import (
+    GateProgram,
     GateSpec,
     LocalUnitaryParams,
-    apply_single_qubit,
-    gate_matrix,
     rotation,
     su4_generators,
 )
@@ -29,10 +28,9 @@ from .linalg import (
     BipartitePartition,
     DimensionError,
     as_matrix,
-    kron,
+    kron_aligned,
     max_abs,
     partial_trace,
-    permute_qubits,
     schatten_norm,
 )
 
@@ -69,44 +67,64 @@ class TransferTensor:
         return self.tensor.reshape(d2, d2)
 
 
-def _gather_a_front(mat: np.ndarray, part: BipartitePartition) -> np.ndarray:
-    """Reorder tensor factors so subsystem A occupies the leading positions."""
-    sigma = list(part.a_sites) + list(part.b_sites)
-    if sigma == list(range(part.n)):
-        return mat
-    order = [0] * part.n
-    for pos, q in enumerate(sigma):
-        order[q] = pos
-    return permute_qubits(mat, order)
+def _state_columns(rho, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """rho = sum_r w_r |c_r><c_r| as (columns c, weights w); a vector is its own column."""
+    rho_arr = np.asarray(rho, dtype=complex)
+    if rho_arr.ndim == 1:
+        if rho_arr.size != d:
+            raise DimensionError(f"state dim {rho_arr.size} != {d}")
+        return rho_arr[:, None], np.ones(1)
+    rm = as_matrix(rho_arr)
+    if rm.shape[0] != d:
+        raise DimensionError(f"rho dim {rm.shape[0]} != {d}")
+    w, v = np.linalg.eigh((rm + rm.conj().T) / 2)
+    keep = np.abs(w) > d * np.finfo(float).eps * max_abs(w)  # numerical rank
+    return v[:, keep], w[keep]
+
+
+def _apply_circuit(v, states: np.ndarray) -> np.ndarray:
+    """V applied to the columns of ``states``; V is None, a GateProgram or a matrix."""
+    if v is None:
+        return states
+    if isinstance(v, GateProgram):
+        return v.apply(states)
+    vm = as_matrix(v)
+    if vm.shape[0] != states.shape[0]:
+        raise DimensionError(f"circuit dim {vm.shape[0]} != {states.shape[0]}")
+    return vm @ states
 
 
 def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
     """Contract H, rho, V1, V2 into the quadratic form over the local gate.
 
-    ``rho`` may be a density matrix or a pure-state vector; ``v1``/``v2`` may be
-    None for identity (skips the conjugations).
+    With rho = sum_r w_r |c_r><c_r| and psi_r = V1 c_r, write psi_r[j] for the
+    B-block of psi_r at A-index j. Then
+
+        T_ijkl = sum_r w_r <e_k x psi_r[l]| V2+ H V2 |e_i x psi_r[j]>,
+
+    so V1 acts on rank(rho) vectors and V2 on d_A^2 rank(rho) vectors. ``rho``
+    may be a density matrix or a pure-state vector; ``v1``/``v2`` may be None
+    (identity), a GateProgram or a dense matrix.
     """
     hm = as_matrix(h)
-    d, d_a, d_b = part.d, part.d_A, part.d_B
+    n, d, d_a, d_b = part.n, part.d, part.d_A, part.d_B
     if hm.shape[0] != d:
-        raise DimensionError(f"H dim {hm.shape[0]} != 2^{part.n}")
-    q = hm if v2 is None else as_matrix(v2).conj().T @ hm @ as_matrix(v2)
-    rho_arr = np.asarray(rho, dtype=complex)
-    if rho_arr.ndim == 1:
-        if rho_arr.size != d:
-            raise DimensionError(f"state dim {rho_arr.size} != 2^{part.n}")
-        psi = rho_arr if v1 is None else as_matrix(v1) @ rho_arr
-        r = np.outer(psi, psi.conj())
-    else:
-        rm = as_matrix(rho_arr)
-        if rm.shape[0] != d:
-            raise DimensionError(f"rho dim {rm.shape[0]} != 2^{part.n}")
-        r = rm if v1 is None else as_matrix(v1) @ rm @ as_matrix(v1).conj().T
-    q = _gather_a_front(q, part)
-    r = _gather_a_front(r, part)
-    qr = q.reshape(d_a, d_b, d_a, d_b)
-    rr = r.reshape(d_a, d_b, d_a, d_b)
-    t = np.einsum("kaib,jbla->ijkl", qr, rr, optimize=True)
+        raise DimensionError(f"H dim {hm.shape[0]} != 2^{n}")
+    cols, weights = _state_columns(rho, d)
+    rank = weights.size
+    psi = _apply_circuit(v1, cols).reshape((2,) * n + (rank,))
+    # psi[j, b, r] with the A qubits leading
+    front = list(part.a_sites) + list(part.b_sites)
+    psi = psi.transpose(front + [n]).reshape(d_a, d_b, rank)
+    # x[a, b, i, j, r] = delta_ai psi[j, b, r]: the vectors e_i x psi_r[j]
+    x = np.zeros((d_a, d_b, d_a, d_a, rank), dtype=complex)
+    for i in range(d_a):
+        x[i, :, i] = psi.transpose(1, 0, 2)
+    x = x.reshape((2,) * n + (d_a * d_a * rank,))
+    x = x.transpose(list(np.argsort(front)) + [n]).reshape(d, -1)
+    y = _apply_circuit(v2, x)
+    hy = (hm @ y).reshape(d, d_a, d_a, rank)
+    t = np.einsum("xklr,xijr,r->ijkl", y.conj().reshape(hy.shape), hy, weights)
     return TransferTensor(part=part, tensor=t)
 
 
@@ -413,15 +431,6 @@ def coupling_rank(h, part: BipartitePartition) -> tuple[int, int]:
     return n_a, n_ab
 
 
-def kron_aligned(op_a: np.ndarray, op_b: np.ndarray, part: BipartitePartition) -> np.ndarray:
-    """op_a on part.a_sites tensored with op_b on part.b_sites, in label order."""
-    full = kron(op_a, op_b)
-    order = list(part.a_sites) + list(part.b_sites)
-    if order == list(range(part.n)):
-        return full
-    return permute_qubits(full, order)
-
-
 def tight_bound(h, part: BipartitePartition) -> float:
     """max{N_A + 2 N_AB, d_A sqrt(d/(d-1))} * ||H - tr(H) I/d||_inf * sqrt(d_A/d_B)."""
     hm = as_matrix(h)
@@ -501,13 +510,7 @@ class ParameterizedCircuit:
         return bound
 
     def unitary(self, theta) -> np.ndarray:
-        u = np.eye(2**self.n, dtype=complex)
-        for g in self.bind(theta):
-            if g.kind == "cz":
-                u = gate_matrix(g, self.n) @ u
-            else:
-                u = apply_single_qubit(u, rotation(g.kind[1], g.angle), g.target, self.n)
-        return u
+        return np.asarray(GateProgram(self.n, self.bind(theta)))
 
     def cost(self, h, rho, theta) -> float:
         return generic_cost(h, rho, self.unitary(theta))
@@ -530,22 +533,9 @@ def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int)
 
 
 def _split_at_gate(pc: ParameterizedCircuit, bound: list[GateSpec], gate_idx: int):
-    """(V1, target qubit, V2): circuit before and after gate gate_idx."""
-    d = 2**pc.n
-    v1 = np.eye(d, dtype=complex)
-    v2 = np.eye(d, dtype=complex)
-    for i, g in enumerate(bound):
-        if i == gate_idx:
-            continue
-        target = v1 if i < gate_idx else v2
-        if g.kind == "cz":
-            out = gate_matrix(g, pc.n) @ target
-        else:
-            out = apply_single_qubit(target, rotation(g.kind[1], g.angle), g.target, pc.n)
-        if i < gate_idx:
-            v1 = out
-        else:
-            v2 = out
+    """(V1, target qubit, V2): the programs before and after gate gate_idx."""
+    v1 = GateProgram(pc.n, bound[:gate_idx])
+    v2 = GateProgram(pc.n, bound[gate_idx + 1:])
     return v1, bound[gate_idx].target, v2
 
 

@@ -158,6 +158,15 @@ def kron(a, b) -> np.ndarray:
     return np.kron(ma, mb)
 
 
+def kron_aligned(op_a: np.ndarray, op_b: np.ndarray, part: BipartitePartition) -> np.ndarray:
+    """op_a on part.a_sites tensored with op_b on part.b_sites, in label order."""
+    full = kron(op_a, op_b)
+    order = list(part.a_sites) + list(part.b_sites)
+    if order == list(range(part.n)):
+        return full
+    return permute_qubits(full, order)
+
+
 def kron_all(factors) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for f in factors:

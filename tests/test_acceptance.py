@@ -1,7 +1,7 @@
 """End-to-end acceptance checks at the published scales.
 
 Each check prints one pass/fail line. The suite is slower than the unit tests
-(several minutes end to end); run it with ``pytest tests/test_acceptance.py -s``
+(about a minute on two cores); run it with ``pytest tests/test_acceptance.py -s``
 to watch the lines appear.
 """
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dense_reference import cz_diag, sample_circuit_dense
 from localrange.circuits import (
     CircuitEnsemble,
+    GateProgram,
     GateSpec,
     LocalUnitaryParams,
     apply_single_qubit,
@@ -80,6 +82,22 @@ def test_gate_matrix_errors():
         gate_matrix(GateSpec("rx", 0), 2)  # unbound angle
 
 
+def test_cz_matches_basis_loop():
+    for control, target in ((0, 1), (1, 0), (0, 3), (3, 1), (2, 3)):
+        got = np.diag(gate_matrix(GateSpec("cz", target, control=control), 4))
+        assert np.array_equal(got, cz_diag(4, control, target))
+
+
+def test_program_apply_on_columns():
+    rng = np.random.default_rng(5)
+    ens = CircuitEnsemble("hardware_efficient", 4, layers=3)
+    prog = sample_circuit(ens, rng)
+    block = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    assert np.allclose(prog.apply(block), np.asarray(prog) @ block, atol=1e-12)
+    assert np.allclose(prog.apply(block[:, 0]), np.asarray(prog) @ block[:, 0], atol=1e-12)
+    assert np.array_equal(GateProgram(4).apply(block), block)
+
+
 def test_apply_single_qubit_matches_kron():
     rng = np.random.default_rng(1)
     u = haar_random_unitary(8, rng)
@@ -97,7 +115,7 @@ class TestSampleCircuit:
     @pytest.mark.parametrize("kind", ["one_design_layer", "hardware_efficient", "haar"])
     def test_unitarity(self, kind):
         ens = CircuitEnsemble(kind, 3, layers=4 if kind == "hardware_efficient" else None)
-        u = sample_circuit(ens, np.random.default_rng(2))
+        u = np.asarray(sample_circuit(ens, np.random.default_rng(2)))
         assert u.shape == (8, 8)
         assert is_unitary(u)
 
@@ -117,6 +135,23 @@ class TestSampleCircuit:
         b = sample_circuit(ens, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind,n,layers", [
+        ("identity", 3, None),
+        ("one_design_layer", 1, None),
+        ("one_design_layer", 5, None),
+        ("hardware_efficient", 1, 3),
+        ("hardware_efficient", 4, None),
+        ("hardware_efficient", 6, 7),
+        ("haar", 3, None),
+    ])
+    def test_matches_dense_construction(self, kind, n, layers):
+        # same draws from the rng, same circuit as the dense 2^n x 2^n build
+        ens = CircuitEnsemble(kind, n, layers=layers)
+        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+        u = np.asarray(sample_circuit(ens, rng_a))
+        assert np.allclose(u, sample_circuit_dense(ens, rng_b), atol=1e-12)
+        assert rng_a.random() == rng_b.random()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             CircuitEnsemble("clifford", 3)
@@ -130,7 +165,7 @@ def test_one_design_layer_first_moment():
     acc = np.zeros((4, 4), dtype=complex)
     n_samples = 10_000
     for _ in range(n_samples):
-        v = sample_circuit(ens, rng)
+        v = np.asarray(sample_circuit(ens, rng))
         acc += v @ a @ v.conj().T
     acc /= n_samples
     assert np.max(np.abs(acc - np.eye(4) / 4)) < 0.02
@@ -141,7 +176,7 @@ def test_hardware_efficient_frame_potential():
     rng = np.random.default_rng(13)
     ens = CircuitEnsemble("hardware_efficient", 4, layers=40)
     pairs = 2000
-    us = [sample_circuit(ens, rng) for _ in range(2 * pairs)]
+    us = [np.asarray(sample_circuit(ens, rng)) for _ in range(2 * pairs)]
     vals = [abs(np.trace(us[2 * i].conj().T @ us[2 * i + 1])) ** 4 for i in range(pairs)]
     est = np.mean(vals)
     assert abs(est - 2.0) < 0.4  # within 20% of the Haar value

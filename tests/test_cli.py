@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from localrange import harness
 from localrange.cli import cli_main
 
 
@@ -95,6 +96,15 @@ def test_layers_subcommand(capsys):
     assert code == 0
     assert "# layers=0 n=2" in out
     assert "# layers=2 n=2" in out
+
+
+def test_bound_violation_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "theorem1_bound", lambda w, n, m: -1.0)
+    code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "2", "--samples", "2")
+    assert code == 3
+    assert "exceeds its bound" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_validate_haar_small(capsys):

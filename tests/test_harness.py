@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from dense_reference import sample_circuit_dense, transfer_tensor_dense
+from localrange import harness
+from localrange.costs import heisenberg
 from localrange.harness import (
     CSV_HEADER,
     ConfigError,
@@ -16,6 +19,8 @@ from localrange.harness import (
     run_layer_sweep,
     run_scaling,
 )
+from localrange.landscape import TransferTensor
+from localrange.linalg import spectral_width
 
 
 def small_cfg(**kw):
@@ -65,7 +70,8 @@ class TestRunScaling:
         assert [r.n for r in rows] == [2, 3, 4]
         for r in rows:
             assert 0.0 <= r.mean_delta_over_w
-            assert r.mean_delta_over_w <= r.bound_general
+            # the bound is absolute (it carries w); the mean is normalized by w
+            assert r.mean_delta_over_w * spectral_width(heisenberg(r.n)) <= r.bound_general
             assert r.std_delta >= 0.0
 
     def test_deterministic(self):
@@ -91,6 +97,21 @@ class TestRunScaling:
         stderr = np.hypot(ra.std_delta / np.sqrt(40), rb.std_delta / np.sqrt(40))
         stderr = np.hypot(stderr, big.std_delta / np.sqrt(80)) / 8.0  # w(H) at n=2 is 8
         assert abs(pooled - big.mean_delta_over_w) <= 3 * stderr + 1e-12
+
+
+@pytest.mark.parametrize("task", ["vqe", "qae", "qsl"])
+@pytest.mark.parametrize("ensemble_config", ["v1_design", "v2_design", "both"])
+def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
+    cfg = ExperimentConfig(task=task, n_min=5, n_max=5, ensemble_config=ensemble_config,
+                           samples=2, seed=31)
+    inst = harness._setup_task(task, 5, 1)
+    layers = harness._effective_layers(cfg, 5)
+    got = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
+    monkeypatch.setattr(harness, "sample_circuit", sample_circuit_dense)
+    monkeypatch.setattr(harness, "transfer_tensor", lambda h, rho, v1, v2, part: TransferTensor(
+        part, transfer_tensor_dense(h, rho, v1, v2, part)))
+    want = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * inst.w)
 
 
 class TestLayerSweep:

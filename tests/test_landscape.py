@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localrange.circuits import GateSpec, assemble, euler_zyz, local_unitary
+from dense_reference import transfer_tensor_dense
+from localrange.circuits import (
+    CircuitEnsemble,
+    GateSpec,
+    assemble,
+    euler_zyz,
+    local_unitary,
+    sample_circuit,
+)
 from localrange.costs import generic_cost, heisenberg, qae_hamiltonian
 from localrange.haar import haar_random_unitary
 from localrange.landscape import (
@@ -438,3 +446,27 @@ class TestTelescoping:
         pc, h, rho = _ry_z_circuit()
         with pytest.raises(ValueError):
             telescoping_bound_check(pc, h, rho, [0.1], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("a_sites", [(0,), (2,), (0, 1), (1, 3)])
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("circuit", ["none", "matrix", "program"])
+def test_statevector_transfer_matches_dense_oracle(a_sites, state, circuit):
+    rng = np.random.default_rng(sum(a_sites) + 10 * len(a_sites) + 100 * len(state) + len(circuit))
+    for n in (4, 6, 8):
+        part = BipartitePartition(n, a_sites)
+        h = random_hermitian(part.d, rng)
+        if state == "pure":
+            rho = random_pure_state(part.d, rng)
+        else:
+            rho = random_density(part.d, rng, rank=None if n < 8 else 3)
+        if circuit == "none":
+            v1 = v2 = None
+        elif circuit == "matrix":
+            v1, v2 = haar_random_unitary(part.d, rng), haar_random_unitary(part.d, rng)
+        else:
+            ens = CircuitEnsemble("hardware_efficient", n, layers=4)
+            v1, v2 = sample_circuit(ens, rng), sample_circuit(ens, rng)
+        got = transfer_tensor(h, rho, v1, v2, part).tensor
+        ref = transfer_tensor_dense(h, rho, v1, v2, part)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
