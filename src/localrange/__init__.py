@@ -22,7 +22,6 @@ from .landscape import (
     VariationResult,
     bound_report,
     transfer_tensor,
-    variation_range,
     variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
@@ -50,7 +49,6 @@ __all__ = [
     "run_scaling",
     "sample_circuit",
     "transfer_tensor",
-    "variation_range",
     "variation_range_adam",
     "variation_range_exact_m1",
     "variation_range_grid",

@@ -94,22 +94,9 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-def _write_rows(rows, out):
-    if out:
-        harness.emit_csv(rows, out)
-    else:
-        print(harness.CSV_HEADER)
-        for r in rows:
-            print(",".join(harness._fmt(v) for v in (
-                r.task, r.n, r.m, r.ensemble_config, r.samples,
-                r.mean_delta_over_w, r.std_delta, r.bound_general,
-                r.bound_tight, r.bound_qsl, r.seed,
-            )))
-
-
 def _cmd_scaling(args) -> int:
     cfg = _build_config(args)
-    _write_rows(harness.run_scaling(cfg), args.out)
+    harness.emit_csv(harness.run_scaling(cfg), args.out)
     return 0
 
 
@@ -123,7 +110,7 @@ def _cmd_layers(args) -> int:
     rows = [keyed[key] for key in sorted(keyed)]
     for (layers, _n), row in sorted(keyed.items()):
         print(f"# layers={layers} n={row.n} mean_delta_over_w={row.mean_delta_over_w:.6e}")
-    _write_rows(rows, args.out)
+    harness.emit_csv(rows, args.out)
     return 0
 
 
@@ -168,7 +155,7 @@ def _cmd_validate_haar(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.m >= args.n:
         raise ConfigError(f"m: must be smaller than n, got m={args.m}, n={args.n}")
-    inst = harness._setup_task(args.task, args.n, args.m)
+    inst = harness.setup_task(args.task, args.n, args.m)
     rep = bound_report(inst.h, inst.part, inst.w, qsl=(args.task == "qsl"))
     print(f"task = {args.task}, n = {args.n}, m = {args.m}, w = {inst.w:.12g}")
     print(f"bound_general = {rep.general:.12g}")

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import CircuitEnsemble, sample_circuit
-from .costs import heisenberg, qae_hamiltonian, qsl_hamiltonian
+from .costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from .landscape import (
     AdamConfig,
     qsl_bound,
     task_tight_bound,
     theorem1_bound,
-    tight_bound,
     transfer_tensor,
     variation_range_adam,
     variation_range_exact_m1,
@@ -35,6 +35,9 @@ TASK_IDS = {"vqe": 0, "qae": 1, "qsl": 2}
 ENSEMBLE_CONFIGS = {"v1_design": 0, "v2_design": 1, "both": 2}
 DESIGN_KINDS = ("two_design", "one_design", "identity")
 OPTIMIZERS = ("exact", "adam", "grid")
+
+# A sample holds O(d_A^2 2^n) amplitudes; n = 16 takes seconds per deep sample.
+MAX_QUBITS = 16
 
 CSV_HEADER = (
     "task,n,m,ensemble_config,samples,mean_delta_over_w,std_delta,"
@@ -69,9 +72,10 @@ class ExperimentConfig:
             raise ConfigError(f"task: expected one of {sorted(TASK_IDS)}, got {self.task!r}")
         if not (isinstance(self.n_min, int) and isinstance(self.n_max, int)):
             raise ConfigError("n_min/n_max: expected integers")
-        if not 2 <= self.n_min <= self.n_max <= 12:
+        if not 2 <= self.n_min <= self.n_max <= MAX_QUBITS:
             raise ConfigError(
-                f"n_min/n_max: need 2 <= n_min <= n_max <= 12, got [{self.n_min}, {self.n_max}]"
+                f"n_min/n_max: need 2 <= n_min <= n_max <= {MAX_QUBITS}, "
+                f"got [{self.n_min}, {self.n_max}]"
             )
         if self.m not in (1, 2):
             raise ConfigError(f"m: subsystem size must be 1 or 2, got {self.m}")
@@ -114,13 +118,14 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class _TaskInstance:
-    h: np.ndarray
+    h: Observable
     rho: np.ndarray | None  # fixed input state; None means drawn per sample
     w: float
     part: BipartitePartition
 
 
-def _setup_task(task: str, n: int, m: int) -> _TaskInstance:
+def setup_task(task: str, n: int, m: int) -> _TaskInstance:
+    """The task's observable, fixed input state (if any), w(H) and partition."""
     part = BipartitePartition(n, tuple(range(m)))
     if task == "vqe":
         h = heisenberg(n, periodic=True)
@@ -192,7 +197,7 @@ def _worker_count() -> int | None:
 
 
 def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
-    inst = _setup_task(cfg.task, n, cfg.m)
+    inst = setup_task(cfg.task, n, cfg.m)
     deltas = [0.0] * cfg.samples
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = [pool.submit(_sample_delta, cfg, inst, n, k, layers) for k in range(cfg.samples)]
@@ -201,12 +206,8 @@ def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
     mean = math.fsum(deltas) / cfg.samples
     var = math.fsum((d - mean) ** 2 for d in deltas) / (cfg.samples - 1)
     bound_general = theorem1_bound(inst.w, n, cfg.m)
-    if cfg.task == "qsl":
-        b_tight = tight_bound(inst.h, inst.part)
-        b_qsl = qsl_bound(n, cfg.m)
-    else:
-        b_tight = task_tight_bound(cfg.task, n, inst.w)
-        b_qsl = None
+    b_tight = task_tight_bound(cfg.task, n, inst.w, cfg.m)
+    b_qsl = qsl_bound(n, cfg.m) if cfg.task == "qsl" else None
     row = ExperimentRow(
         task=cfg.task,
         n=n,
@@ -282,8 +283,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_csv(rows, path) -> None:
-    """Write rows with the fixed header; floats in full-precision scientific form."""
+def emit_csv(rows, path=None) -> None:
+    """Write rows with the fixed header to path, or to stdout when path is None.
+
+    Floats are in full-precision scientific form.
+    """
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
@@ -296,5 +300,9 @@ def emit_csv(rows, path) -> None:
                 )
             )
         )
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

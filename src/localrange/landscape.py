@@ -22,7 +22,7 @@ from .circuits import (
     rotation,
     su4_generators,
 )
-from .costs import generic_cost
+from .costs import Observable, generic_cost
 from .linalg import (
     PAULI,
     BipartitePartition,
@@ -31,7 +31,6 @@ from .linalg import (
     kron_aligned,
     max_abs,
     partial_trace,
-    schatten_norm,
 )
 
 DEGENERACY_RTOL = 1e-10
@@ -82,16 +81,17 @@ def _state_columns(rho, d: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, keep], w[keep]
 
 
-def _apply_circuit(v, states: np.ndarray) -> np.ndarray:
-    """V applied to the columns of ``states``; V is None, a GateProgram or a matrix."""
-    if v is None:
+def _apply_operator(op, states: np.ndarray) -> np.ndarray:
+    """op applied to the columns of ``states``; op is None (identity), a
+    GateProgram, an Observable or a matrix."""
+    if op is None:
         return states
-    if isinstance(v, GateProgram):
-        return v.apply(states)
-    vm = as_matrix(v)
-    if vm.shape[0] != states.shape[0]:
-        raise DimensionError(f"circuit dim {vm.shape[0]} != {states.shape[0]}")
-    return vm @ states
+    if isinstance(op, (GateProgram, Observable)):
+        return op.apply(states)
+    m = as_matrix(op)
+    if m.shape[0] != states.shape[0]:
+        raise DimensionError(f"operator dim {m.shape[0]} != {states.shape[0]}")
+    return m @ states
 
 
 def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
@@ -102,17 +102,18 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
 
         T_ijkl = sum_r w_r <e_k x psi_r[l]| V2+ H V2 |e_i x psi_r[j]>,
 
-    so V1 acts on rank(rho) vectors and V2 on d_A^2 rank(rho) vectors. ``rho``
-    may be a density matrix or a pure-state vector; ``v1``/``v2`` may be None
-    (identity), a GateProgram or a dense matrix.
+    so V1 acts on rank(rho) vectors and V2 and H on d_A^2 rank(rho) vectors.
+    ``rho`` may be a density matrix or a pure-state vector; ``v1``/``v2`` may be
+    None (identity), a GateProgram or a dense matrix; ``h`` an Observable or a
+    dense matrix.
     """
-    hm = as_matrix(h)
     n, d, d_a, d_b = part.n, part.d, part.d_A, part.d_B
-    if hm.shape[0] != d:
-        raise DimensionError(f"H dim {hm.shape[0]} != 2^{n}")
+    h_dim = 2**h.n if isinstance(h, Observable) else as_matrix(h).shape[0]
+    if h_dim != d:
+        raise DimensionError(f"H dim {h_dim} != 2^{n}")
     cols, weights = _state_columns(rho, d)
     rank = weights.size
-    psi = _apply_circuit(v1, cols).reshape((2,) * n + (rank,))
+    psi = _apply_operator(v1, cols).reshape((2,) * n + (rank,))
     # psi[j, b, r] with the A qubits leading
     front = list(part.a_sites) + list(part.b_sites)
     psi = psi.transpose(front + [n]).reshape(d_a, d_b, rank)
@@ -122,8 +123,8 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
         x[i, :, i] = psi.transpose(1, 0, 2)
     x = x.reshape((2,) * n + (d_a * d_a * rank,))
     x = x.transpose(list(np.argsort(front)) + [n]).reshape(d, -1)
-    y = _apply_circuit(v2, x)
-    hy = (hm @ y).reshape(d, d_a, d_a, rank)
+    y = _apply_operator(v2, x)
+    hy = _apply_operator(h, y).reshape(d, d_a, d_a, rank)
     t = np.einsum("xklr,xijr,r->ijkl", y.conj().reshape(hy.shape), hy, weights)
     return TransferTensor(part=part, tensor=t)
 
@@ -352,16 +353,6 @@ def variation_range_adam(t: TransferTensor, cfg: AdamConfig = AdamConfig()) -> V
     )
 
 
-def variation_range(t: TransferTensor, method: str = "exact", **kwargs) -> VariationResult:
-    if method == "exact":
-        return variation_range_exact_m1(t)
-    if method == "grid":
-        return variation_range_grid(t, **kwargs)
-    if method == "adam":
-        return variation_range_adam(t, **kwargs)
-    raise ValueError(f"unknown optimizer {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -422,10 +413,14 @@ def coupling_rank(h, part: BipartitePartition) -> tuple[int, int]:
         - kron_aligned(np.eye(part.d_A, dtype=complex) / part.d_A, tra, part)
         + (np.trace(hm) / part.d) * np.eye(part.d, dtype=complex)
     )
+    # h_int as t[a, x, b, y] with the A qubits leading
+    front = list(part.a_sites) + list(part.b_sites)
+    t = h_int.reshape((2,) * (2 * part.n)).transpose(front + [part.n + q for q in front])
+    t = t.reshape(part.d_A, part.d_B, part.d_A, part.d_B)
     n_ab = 0
-    eye_b = np.eye(part.d_B, dtype=complex)
     for sigma in _a_words(part.m):
-        o = partial_trace(kron_aligned(sigma, eye_b, part) @ h_int, part, "A") / part.d_A
+        # tr_A((sigma x I_B) H_int) / d_A
+        o = np.einsum("ab,bxay->xy", sigma, t) / part.d_A
         if max_abs(o) > COUPLING_CUTOFF * scale:
             n_ab += 1
     return n_a, n_ab
@@ -437,8 +432,10 @@ def tight_bound(h, part: BipartitePartition) -> float:
     n_a, n_ab = coupling_rank(hm, part)
     d = part.d
     h_tl = hm - (np.trace(hm) / d) * np.eye(d, dtype=complex)
+    # H is Hermitian, so its operator norm is its largest |eigenvalue|
+    norm = float(np.abs(np.linalg.eigvalsh((h_tl + h_tl.conj().T) / 2)).max())
     factor = max(n_a + 2 * n_ab, part.d_A * np.sqrt(d / (d - 1)))
-    return float(factor * schatten_norm(h_tl, np.inf) * np.sqrt(part.d_A / part.d_B))
+    return float(factor * norm * np.sqrt(part.d_A / part.d_B))
 
 
 @dataclass(frozen=True)
@@ -467,13 +464,24 @@ def bound_report(h, part: BipartitePartition, w: float, qsl: bool = False,
     )
 
 
-def task_tight_bound(task: str, n: int, w: float) -> float:
-    """Published per-task constants: 24 w 2^{-n/2} (vqe) and (8/sqrt 3) 2^{-n/2} (qae)."""
+def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
+    """Per-task tight bounds in closed form.
+
+    vqe and qae use the published constants 24 w 2^{-n/2} and
+    (8/sqrt 3) 2^{-n/2}. qsl against |0...0> is ``tight_bound`` evaluated by
+    hand: N_A + 2 N_AB = 2^(m+1) - 1 (every Z word on A couples to B) and
+    ||H - tr(H) I/d||_inf = 1 - 1/d, so the bound is
+    max(2^(m+1) - 1, d_A sqrt(d/(d-1))) (1 - 2^-n) sqrt(d_A/d_B).
+    """
     if task == "vqe":
         return 24.0 * w * 2.0 ** (-n / 2)
     if task == "qae":
         return (8.0 / np.sqrt(3.0)) * 2.0 ** (-n / 2)
-    raise ValueError(f"no published tight constant for task {task!r}")
+    if task == "qsl":
+        d, d_a = 2.0**n, 2.0**m
+        factor = max(2.0 ** (m + 1) - 1, d_a * np.sqrt(d / (d - 1)))
+        return float(factor * (1.0 - 1.0 / d) * np.sqrt(d_a / 2.0 ** (n - m)))
+    raise ValueError(f"no closed-form tight bound for task {task!r}")
 
 
 # ---------------------------------------------------------------------------

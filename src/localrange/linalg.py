@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest dimension of a dense operator: it guards the dense paths (kron, the
+# dense form of an observable, the oracles and the `bounds` subcommand), not
+# the statevector harness, whose n cap is set by ExperimentConfig.
 MAX_DIM = 2**14
 
 PAULI = {
@@ -239,7 +242,14 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_width(h) -> float:
-    """w(H): spread between the largest and smallest eigenvalue."""
+    """w(H): spread between the largest and smallest eigenvalue.
+
+    An observable with its own ``width`` (the matrix-free task Hamiltonians)
+    answers itself; anything else is diagonalized densely.
+    """
+    width = getattr(h, "width", None)
+    if callable(width):
+        return width()
     w, _ = eig_hermitian(h)
     return float(w[-1] - w[0])
 

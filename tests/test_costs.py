@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from localrange.costs import (
+    Observable,
     bures_fidelity,
     fidelity_rank_bound,
     generic_cost,
@@ -15,6 +16,7 @@ from localrange.costs import (
 )
 from localrange.haar import haar_random_unitary
 from localrange.linalg import (
+    MAX_DIM,
     BipartitePartition,
     DimensionError,
     partial_trace,
@@ -62,7 +64,7 @@ class TestHeisenberg:
         assert np.allclose(h, expected)
 
     def test_traceless_and_hermitian(self):
-        h = heisenberg(5)
+        h = np.asarray(heisenberg(5))
         assert abs(np.trace(h)) < 1e-10
         assert np.allclose(h, h.conj().T)
 
@@ -74,6 +76,76 @@ class TestHeisenberg:
     def test_too_small(self):
         with pytest.raises(ValueError):
             heisenberg(1)
+
+
+def _observables(n):
+    rng = np.random.default_rng(n)
+    e0 = np.zeros(2**n)
+    e0[0] = 1.0
+    return {
+        "heisenberg_periodic": heisenberg(n, periodic=True),
+        "heisenberg_open": heisenberg(n, periodic=False),
+        "qae_last": qae_hamiltonian(n, (n - 1,)),
+        "qae_pair": qae_hamiltonian(n, (0, n - 1)),
+        "qsl_e0": qsl_hamiltonian(e0),
+        "qsl_random": qsl_hamiltonian(random_pure_state(2**n, rng)),
+    }
+
+
+class TestObservable:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_apply_matches_dense_matrix(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
+        for name, h in _observables(n).items():
+            assert isinstance(h, Observable)
+            dense = np.asarray(h)
+            assert dense.shape == (2**n, 2**n)
+            assert np.allclose(h.apply(x), dense @ x, rtol=0.0, atol=1e-12), name
+            assert np.allclose(h.apply(x[:, 0]), dense @ x[:, 0], rtol=0.0, atol=1e-12), name
+            ev = np.linalg.eigvalsh(dense)
+            assert spectral_width(h) == pytest.approx(ev[-1] - ev[0], rel=1e-12, abs=0.0), name
+
+    def test_dense_forms_match_pauli_sums(self):
+        n = 4
+        for periodic in (True, False):
+            want = np.zeros((16, 16), dtype=complex)
+            bonds = range(n) if periodic else range(n - 1)
+            for i in bonds:
+                j = (i + 1) % n
+                for axis in "XYZ":
+                    want += pauli_word_matrix("".join(axis if q in (i, j) else "I" for q in range(n)))
+            assert np.allclose(np.asarray(heisenberg(n, periodic)), want, rtol=0.0, atol=1e-14)
+        phi = random_pure_state(16, np.random.default_rng(3))
+        assert np.allclose(np.asarray(qsl_hamiltonian(phi)), np.eye(16) - np.outer(phi, phi.conj()))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_lanczos_width_matches_dense_eigh(self, n, periodic):
+        h = heisenberg(n, periodic)
+        ev = np.linalg.eigvalsh(np.asarray(h))
+        assert spectral_width(h) == pytest.approx(ev[-1] - ev[0], rel=1e-12, abs=0.0)
+
+    def test_projector_widths_are_exactly_one(self):
+        e0 = np.zeros(2**6)
+        e0[0] = 1.0
+        assert spectral_width(qsl_hamiltonian(e0)) == 1.0
+        assert spectral_width(qae_hamiltonian(6, (5,))) == 1.0
+
+    def test_apply_rejects_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            heisenberg(3).apply(np.ones(4))
+        with pytest.raises(DimensionError):
+            qae_hamiltonian(3, (2,)).apply(np.ones((4, 2)))
+
+    def test_dense_form_refused_above_max_dim(self):
+        n = MAX_DIM.bit_length()  # 2^n = 2 * MAX_DIM
+        with pytest.raises(DimensionError):
+            np.asarray(heisenberg(n))
+
+    def test_qsl_target_must_be_a_register_state(self):
+        with pytest.raises(DimensionError):
+            qsl_hamiltonian(np.ones(3) / np.sqrt(3))
 
 
 class TestQae:
@@ -151,6 +223,15 @@ class TestBuresFidelity:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             bures_fidelity(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
+
+    def test_rejects_fidelity_above_one(self):
+        # unnormalized states: (tr sqrt(sqrt(I) I sqrt(I)))^2 = 4
+        with pytest.raises(ValueError, match="exceeds 1"):
+            bures_fidelity(np.eye(2), np.eye(2))
+
+    def test_rounding_above_one_is_clipped(self):
+        rho = np.diag([1.0 + 1e-12, 0.0])
+        assert bures_fidelity(rho, rho) == 1.0
 
 
 def test_fidelity_rank_bound_100_random_pairs():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestConfigValidation:
         [
             ("task", "qft", "task"),
             ("n_min", 1, "n_min"),
-            ("n_max", 13, "n_min/n_max"),
+            ("n_max", 17, "n_min/n_max"),
             ("m", 3, "m"),
             ("ensemble_config", "left", "ensemble_config"),
             ("design_kind", "clifford", "design_kind"),
@@ -104,7 +105,7 @@ class TestRunScaling:
 def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
     cfg = ExperimentConfig(task=task, n_min=5, n_max=5, ensemble_config=ensemble_config,
                            samples=2, seed=31)
-    inst = harness._setup_task(task, 5, 1)
+    inst = harness.setup_task(task, 5, 1)
     layers = harness._effective_layers(cfg, 5)
     got = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
     monkeypatch.setattr(harness, "sample_circuit", sample_circuit_dense)
@@ -112,6 +113,30 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
         part, transfer_tensor_dense(h, rho, v1, v2, part)))
     want = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * inst.w)
+
+
+def test_n14_runs_matrix_free_and_within_bounds():
+    # A dense H at n = 14 alone is 4 GiB. At this n the general bound is w/4,
+    # so unlike at n <= 10 (where it is >= w) the comparison can fail.
+    cfgs = [
+        ExperimentConfig(task="vqe", n_min=14, n_max=14, layers=14, samples=3, seed=3),
+        # the discarded qubit is 13 away from the gate: 28 layers bring it into the light cone
+        ExperimentConfig(task="qae", n_min=14, n_max=14, layers=28, samples=2, seed=3),
+        ExperimentConfig(task="qsl", n_min=14, n_max=14, design_kind="one_design",
+                         samples=4, seed=3),
+    ]
+    tracemalloc.start()
+    try:
+        rows = [run_scaling(cfg)[0] for cfg in cfgs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for cfg, row in zip(cfgs, rows):
+        w = harness.setup_task(cfg.task, 14, 1).w
+        mean = row.mean_delta_over_w * w
+        assert 0.0 < mean <= row.bound_general, cfg.task
+        assert mean <= row.bound_tight, cfg.task
 
 
 class TestLayerSweep:
@@ -172,6 +197,12 @@ class TestCsv:
         assert fields[0] == "vqe"
         assert "e" in fields[5]  # scientific notation
         assert fields[9] == ""  # bound_qsl empty outside qsl task
+
+    def test_stdout_when_no_path(self, tmp_path, capsys):
+        rows = run_scaling(small_cfg(n_max=2))
+        emit_csv(rows, tmp_path / "rows.csv")
+        emit_csv(rows)
+        assert capsys.readouterr().out == (tmp_path / "rows.csv").read_text()
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = small_cfg()

@@ -12,7 +12,7 @@ from localrange.circuits import (
     local_unitary,
     sample_circuit,
 )
-from localrange.costs import generic_cost, heisenberg, qae_hamiltonian
+from localrange.costs import generic_cost, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from localrange.haar import haar_random_unitary
 from localrange.landscape import (
     AdamConfig,
@@ -116,6 +116,24 @@ class TestTransferTensor:
         part = BipartitePartition(3, (0,))
         with pytest.raises(DimensionError):
             transfer_tensor(np.eye(4), np.eye(8) / 8, None, None, part)
+        with pytest.raises(DimensionError):
+            transfer_tensor(heisenberg(2), np.eye(8) / 8, None, None, part)
+
+    @pytest.mark.parametrize("n,a_sites", [(4, (0,)), (6, (2,)), (6, (1, 3)), (7, (0,))])
+    def test_observable_matches_dense_h(self, n, a_sites):
+        rng = np.random.default_rng(40 + n)
+        part = BipartitePartition(n, a_sites)
+        ens = CircuitEnsemble("hardware_efficient", n, layers=3)
+        v1, v2 = sample_circuit(ens, rng), sample_circuit(ens, rng)
+        e0 = np.zeros(part.d)
+        e0[0] = 1.0
+        observables = (heisenberg(n), heisenberg(n, periodic=False),
+                       qae_hamiltonian(n, (n - 1,)), qsl_hamiltonian(e0))
+        for h in observables:
+            for rho in (random_pure_state(part.d, rng), random_density(part.d, rng, rank=2)):
+                got = transfer_tensor(h, rho, v1, v2, part).tensor
+                want = transfer_tensor(np.asarray(h), rho, v1, v2, part).tensor
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), h.kind
 
 
 class TestExactOracle:
@@ -335,6 +353,24 @@ class TestCouplingRank:
             assert tight_bound(h, part) <= task_tight_bound("vqe", n, spectral_width(h)) + 1e-9
             hq = qae_hamiltonian(n, (n - 1,))
             assert tight_bound(hq, part) <= task_tight_bound("qae", n, 1.0) + 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_qsl_closed_form_equals_dense(self, n, m):
+        e0 = np.zeros(2**n)
+        e0[0] = 1.0
+        part = BipartitePartition(n, tuple(range(m)))
+        dense = tight_bound(qsl_hamiltonian(e0), part)
+        assert task_tight_bound("qsl", n, 1.0, m) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    def test_qsl_closed_form_m1(self):
+        for n in (4, 14, 16):
+            want = 3.0 * (1 - 2.0**-n) * 2.0 ** (1 - n / 2)
+            assert task_tight_bound("qsl", n, 1.0) == pytest.approx(want, rel=1e-14)
+
+    def test_unknown_task(self):
+        with pytest.raises(ValueError):
+            task_tight_bound("qft", 4, 1.0)
 
 
 def _ry_z_circuit():
