@@ -11,7 +11,6 @@ from .circuits import (
     GateProgram,
     GateSpec,
     LocalUnitaryParams,
-    assemble,
     sample_circuit,
 )
 from .harness import ExperimentConfig, ExperimentRow, fit_slope, run_layer_sweep, run_scaling
@@ -26,7 +25,7 @@ from .landscape import (
     variation_range_exact_m1,
     variation_range_grid,
 )
-from .linalg import BipartitePartition, Operator, PauliTerm
+from .linalg import BipartitePartition, Operator
 
 __all__ = [
     "AdamConfig",
@@ -39,10 +38,8 @@ __all__ = [
     "GateSpec",
     "LocalUnitaryParams",
     "Operator",
-    "PauliTerm",
     "TransferTensor",
     "VariationResult",
-    "assemble",
     "bound_report",
     "fit_slope",
     "run_layer_sweep",

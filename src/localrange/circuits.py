@@ -1,4 +1,4 @@
-"""Parameterized gates, the layered hardware-efficient ansatz, and circuit assembly.
+"""Parameterized gates, the layered hardware-efficient ansatz, and gate programs.
 
 Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
 ``GateProgram``: an ordered gate list applied to a block of state vectors at
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import PAULI, BipartitePartition, DimensionError, kron_aligned
+from .linalg import PAULI, DimensionError
 
 ROTATION_KINDS = ("rx", "ry", "rz")
 GATE_KINDS = ROTATION_KINDS + ("cz",)
@@ -47,7 +47,7 @@ class CircuitEnsemble:
     """Recipe for sampling V1 or V2.
 
     kind: 'identity' | 'one_design_layer' | 'hardware_efficient' | 'haar'.
-    ``layers`` applies to hardware_efficient only and defaults to 10 * n.
+    ``layers`` applies to hardware_efficient only, which requires it.
     """
 
     kind: str
@@ -59,12 +59,10 @@ class CircuitEnsemble:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("need at least one qubit")
+        if self.kind == "hardware_efficient" and self.layers is None:
+            raise ValueError("hardware_efficient needs a layer count")
         if self.layers is not None and self.layers < 0:
             raise ValueError("layer count must be nonnegative")
-
-    @property
-    def effective_layers(self) -> int:
-        return 10 * self.n if self.layers is None else self.layers
 
 
 @dataclass(frozen=True)
@@ -193,11 +191,6 @@ class GateProgram:
         return u if dtype is None else u.astype(dtype, copy=False)
 
 
-def gate_matrix(g: GateSpec, n: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary embedding the gate."""
-    return np.asarray(GateProgram(n, (g,)))
-
-
 def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram | np.ndarray:
     """Draw one circuit from the ensemble.
 
@@ -223,7 +216,7 @@ def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateP
     # uniform-axis rotations plus the nearest-neighbor CZ chain.
     gates = [GateSpec("ry", q, angle=np.pi / 4) for q in range(n)]
     chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
-    for _ in range(ensemble.effective_layers):
+    for _ in range(ensemble.layers):
         axes = rng.integers(0, 3, size=n)
         angles = rng.uniform(0.0, 2 * np.pi, size=n)
         gates += [GateSpec(ROTATION_KINDS[a], q, angle=t)
@@ -251,21 +244,3 @@ def local_unitary(params: LocalUnitaryParams) -> np.ndarray:
         return euler_zyz(*params.values)
     gen = sum(c * g for c, g in zip(params.values, su4_generators()))
     return expm(-1j * gen)
-
-
-def embed_local(ua: np.ndarray, part: BipartitePartition) -> np.ndarray:
-    """Embed a d_A x d_A gate at part.a_sites, identity elsewhere."""
-    if ua.shape[0] != part.d_A:
-        raise DimensionError(f"local gate dim {ua.shape[0]} != d_A={part.d_A}")
-    return kron_aligned(ua, np.eye(part.d_B, dtype=complex), part)
-
-
-def assemble(v1, ua, v2, part: BipartitePartition) -> np.ndarray:
-    """The full circuit V2 (U_A x I_B) V1."""
-    from .linalg import as_matrix
-
-    m1, m2, ma = as_matrix(v1), as_matrix(v2), np.asarray(ua, dtype=complex)
-    d = part.d
-    if m1.shape[0] != d or m2.shape[0] != d:
-        raise DimensionError("V1/V2 dimension does not match the partition")
-    return m2 @ embed_local(ma, part) @ m1

@@ -162,7 +162,7 @@ def _cmd_bounds(args) -> int:
     print(f"bound_variance = {rep.variance:.12g}")
     print(f"bound_tight = {rep.tight:.12g}")
     if args.task in ("vqe", "qae"):
-        print(f"bound_tight_published = {task_tight_bound(args.task, args.n, inst.w):.12g}")
+        print(f"bound_tight_published = {task_tight_bound(args.task, args.n, inst.w, args.m):.12g}")
     if rep.qsl is not None:
         print(f"bound_qsl = {rep.qsl:.12g}")
     print(f"N_A = {rep.n_a}")

@@ -1,4 +1,4 @@
-"""Task cost functions: generic expectation, Heisenberg VQE, autoencoder, state learning."""
+"""Task observables (Heisenberg VQE, autoencoder, state learning) and Bures fidelity."""
 
 from __future__ import annotations
 
@@ -7,32 +7,10 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (
-    MAX_DIM,
-    PAULI,
-    DimensionError,
-    as_matrix,
-    eig_hermitian,
-    is_hermitian,
-    kron_all,
-)
+from .linalg import MAX_DIM, DimensionError, as_matrix, eig_hermitian, is_hermitian
 
-IMAG_RESIDUE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
 FIDELITY_ATOL = 1e-9
-
-
-def generic_cost(h, rho, u) -> float:
-    """C = tr(H U rho U+)."""
-    hm, rm, um = as_matrix(h), as_matrix(rho), as_matrix(u)
-    if not hm.shape == rm.shape == um.shape:
-        raise DimensionError("H, rho, U must share one dimension")
-    evolved = um @ rm @ um.conj().T
-    val = complex(np.trace(hm @ evolved))
-    scale = max(1.0, float(np.abs(val)))
-    if abs(val.imag) > IMAG_RESIDUE_ATOL * scale:
-        raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +87,6 @@ def heisenberg(n: int, periodic: bool = True) -> Observable:
     return Observable(n, "swaps", tuple((i, (i + 1) % n) for i in bonds))
 
 
-def projector_zero(n: int, sites) -> np.ndarray:
-    """|0..0><0..0| on the given qubits, identity elsewhere."""
-    ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    return kron_all(ket0 if q in set(sites) else PAULI["I"] for q in range(n))
-
-
 def qae_hamiltonian(n: int, r_sites) -> Observable:
     """H = I - |0><0|_R x I_Q for the autoencoder cost; spectral width 1."""
     r = tuple(r_sites)
@@ -127,13 +99,6 @@ def qae_hamiltonian(n: int, r_sites) -> Observable:
     return Observable(n, "diagonal", set_in_r.astype(float))
 
 
-def qae_cost(u, rho_qr, r_sites) -> float:
-    """1 - tr((|0><0|_R x I_Q) U rho U+): failure probability of the compression."""
-    um, rm = as_matrix(u), as_matrix(rho_qr)
-    n = um.shape[0].bit_length() - 1
-    return generic_cost(qae_hamiltonian(n, r_sites), rm, um)
-
-
 def qsl_hamiltonian(phi: np.ndarray) -> Observable:
     """H = I - |phi><phi| for the state-learning cost."""
     phi = np.array(phi, dtype=complex)
@@ -141,18 +106,6 @@ def qsl_hamiltonian(phi: np.ndarray) -> Observable:
     if phi.ndim != 1 or phi.size != 2**n:
         raise DimensionError(f"target state must be a vector of length 2^n, got shape {phi.shape}")
     return Observable(n, "rank_one", phi)
-
-
-def qsl_cost(u, psi, phi) -> float:
-    """1 - |<phi| U |psi>|^2 for unit vectors psi, phi."""
-    um = as_matrix(u)
-    psi = np.asarray(psi, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    for v in (psi, phi):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("state vectors must be normalized")
-    amp = phi.conj() @ (um @ psi)
-    return float(1.0 - abs(amp) ** 2)
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

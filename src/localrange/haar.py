@@ -22,19 +22,8 @@ from .linalg import (
     Operator,
     as_matrix,
     partial_trace,
-    permute_qubits,
+    to_a_first,
 )
-
-
-def _gather_a_front(mat: np.ndarray, part: BipartitePartition) -> np.ndarray:
-    """Reorder tensor factors so subsystem A occupies the leading positions."""
-    sigma = list(part.a_sites) + list(part.b_sites)
-    if sigma == list(range(part.n)):
-        return mat
-    order = [0] * part.n
-    for pos, q in enumerate(sigma):
-        order[q] = pos
-    return permute_qubits(mat, order)
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ def second_moment_contracted(mq: MomentQuery) -> float:
     # contraction of Q, E[X1 x X2], Q* along the partial-trace wiring
     shape8 = (d_a, d_b) * 4
     t2r = t2.reshape(shape8)
-    qr = _gather_a_front(q, part).reshape(d_a, d_b, d_a, d_b)
+    qr = to_a_first(q, part, operator=True).reshape(d_a, d_b, d_a, d_b)
     val = np.einsum("abcd,cdpqpbst,aqst->", qr, t2r, qr.conj())
     return float(val.real)
 
@@ -150,8 +139,8 @@ def mc_second_moment(mq: MomentQuery, samples: int, seed: int, batch: int = 512)
     part = mq.part
     d, d_a, d_b = part.d, part.d_A, part.d_B
     # sampling in the A-leading frame; Haar measure is permutation invariant
-    p = _gather_a_front(mq.p, part)
-    q = _gather_a_front(mq.q, part)
+    p = to_a_first(mq.p, part, operator=True)
+    q = to_a_first(mq.q, part, operator=True)
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     done = 0

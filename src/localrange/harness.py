@@ -21,6 +21,7 @@ from .circuits import CircuitEnsemble, sample_circuit
 from .costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from .landscape import (
     AdamConfig,
+    BoundViolation,
     qsl_bound,
     task_tight_bound,
     theorem1_bound,
@@ -47,10 +48,6 @@ CSV_HEADER = (
 
 class ConfigError(ValueError):
     """Experiment configuration failed validation; message names the field."""
-
-
-class BoundViolation(RuntimeError):
-    """A row's mean variation range exceeds the general bound it must obey."""
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,10 @@ from .circuits import (
     rotation,
     su4_generators,
 )
-from .costs import Observable, generic_cost
-from .linalg import (
-    PAULI,
-    BipartitePartition,
-    DimensionError,
-    as_matrix,
-    kron_aligned,
-    max_abs,
-    partial_trace,
-)
+from .costs import Observable
+from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, max_abs, to_a_first
 
+IMAG_RESIDUE_ATOL = 1e-10
 DEGENERACY_RTOL = 1e-10
 COUPLING_CUTOFF = 1e-12
 GRID_DEFAULT_RESOLUTION = 64
@@ -94,6 +87,22 @@ def _apply_operator(op, states: np.ndarray) -> np.ndarray:
     return m @ states
 
 
+def expectation(h, rho, v) -> float:
+    """C = tr(H V rho V+) = sum_r w_r <psi_r|H|psi_r> with psi_r = V c_r.
+
+    Only state vectors are formed: ``rho`` is a density matrix (its weighted
+    columns c_r) or a pure-state vector; ``v`` is None (identity), a
+    GateProgram or a dense matrix; ``h`` an Observable or a dense matrix.
+    """
+    cols, weights = _state_columns(rho, np.shape(rho)[0])
+    psi = _apply_operator(v, cols)
+    val = complex(np.einsum("xr,xr,r->", psi.conj(), _apply_operator(h, psi), weights))
+    scale = max(1.0, abs(val))
+    if abs(val.imag) > IMAG_RESIDUE_ATOL * scale:
+        raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
+    return val.real
+
+
 def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
     """Contract H, rho, V1, V2 into the quadratic form over the local gate.
 
@@ -113,16 +122,13 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
         raise DimensionError(f"H dim {h_dim} != 2^{n}")
     cols, weights = _state_columns(rho, d)
     rank = weights.size
-    psi = _apply_operator(v1, cols).reshape((2,) * n + (rank,))
     # psi[j, b, r] with the A qubits leading
-    front = list(part.a_sites) + list(part.b_sites)
-    psi = psi.transpose(front + [n]).reshape(d_a, d_b, rank)
+    psi = to_a_first(_apply_operator(v1, cols), part).reshape(d_a, d_b, rank)
     # x[a, b, i, j, r] = delta_ai psi[j, b, r]: the vectors e_i x psi_r[j]
     x = np.zeros((d_a, d_b, d_a, d_a, rank), dtype=complex)
     for i in range(d_a):
         x[i, :, i] = psi.transpose(1, 0, 2)
-    x = x.reshape((2,) * n + (d_a * d_a * rank,))
-    x = x.transpose(list(np.argsort(front)) + [n]).reshape(d, -1)
+    x = to_a_first(x.reshape(d, -1), part, inverse=True)
     y = _apply_operator(v2, x)
     hy = _apply_operator(h, y).reshape(d, d_a, d_a, rank)
     t = np.einsum("xklr,xijr,r->ijkl", y.conj().reshape(hy.shape), hy, weights)
@@ -357,18 +363,15 @@ def variation_range_adam(t: TransferTensor, cfg: AdamConfig = AdamConfig()) -> V
 # bounds
 
 
+class BoundViolation(RuntimeError):
+    """A measured quantity exceeds a bound that the theory says it obeys."""
+
+
 def theorem1_bound(w: float, n: int, m: int) -> float:
     """E[delta] <= w / 2^(n/2 - 3m - 2) for a Haar-random side."""
     if w < 0:
         raise ValueError("spectral width must be nonnegative")
     return w * 2.0 ** (3 * m + 2 - n / 2)
-
-
-def general_bound(w: float, d_a: int, d_b: int) -> float:
-    """Dimension-explicit form 4 w d_A^2 sqrt(d_A / d_B) of the same bound."""
-    if w < 0:
-        raise ValueError("spectral width must be nonnegative")
-    return 4.0 * w * d_a**2 * np.sqrt(d_a / d_b)
 
 
 def variance_bound(w: float, n: int, m: int) -> float:
@@ -397,30 +400,23 @@ def _a_words(m: int) -> list[np.ndarray]:
 def coupling_rank(h, part: BipartitePartition) -> tuple[int, int]:
     """(N_A, N_AB): presence of an A-local part and the interaction coupling rank.
 
-    N_A is 1 when tr_B(H) is nonzero. N_AB counts non-identity Pauli words on A
-    that pair with a nonzero B-operator in H with both marginals removed.
+    N_A is 1 when tr_B(H) is nonzero. N_AB counts non-identity Pauli words
+    sigma on A that pair with a nonzero B-operator in H with both marginals
+    removed. For traceless sigma that B-operator is tr_A((sigma x I_B) H) / d_A
+    with its trace part removed, since only the A marginal contributes to it.
     """
     hm = as_matrix(h)
     if hm.shape[0] != part.d:
         raise DimensionError(f"H dim {hm.shape[0]} != 2^{part.n}")
+    d_a, d_b = part.d_A, part.d_B
     scale = max(1.0, max_abs(hm))
-    trb = partial_trace(hm, part, "B")
-    tra = partial_trace(hm, part, "A")
-    n_a = 1 if max_abs(trb) > COUPLING_CUTOFF * scale else 0
-    h_int = (
-        hm
-        - kron_aligned(trb / part.d_B, np.eye(part.d_B, dtype=complex), part)
-        - kron_aligned(np.eye(part.d_A, dtype=complex) / part.d_A, tra, part)
-        + (np.trace(hm) / part.d) * np.eye(part.d, dtype=complex)
-    )
-    # h_int as t[a, x, b, y] with the A qubits leading
-    front = list(part.a_sites) + list(part.b_sites)
-    t = h_int.reshape((2,) * (2 * part.n)).transpose(front + [part.n + q for q in front])
-    t = t.reshape(part.d_A, part.d_B, part.d_A, part.d_B)
+    # H as t[a, x, b, y] with the A qubits leading
+    t = to_a_first(hm, part, operator=True).reshape(d_a, d_b, d_a, d_b)
+    n_a = 1 if max_abs(np.einsum("axbx->ab", t)) > COUPLING_CUTOFF * scale else 0
     n_ab = 0
     for sigma in _a_words(part.m):
-        # tr_A((sigma x I_B) H_int) / d_A
-        o = np.einsum("ab,bxay->xy", sigma, t) / part.d_A
+        o = np.einsum("ab,bxay->xy", sigma, t) / d_a
+        o -= (np.trace(o) / d_b) * np.eye(d_b)
         if max_abs(o) > COUPLING_CUTOFF * scale:
             n_ab += 1
     return n_a, n_ab
@@ -431,9 +427,9 @@ def tight_bound(h, part: BipartitePartition) -> float:
     hm = as_matrix(h)
     n_a, n_ab = coupling_rank(hm, part)
     d = part.d
-    h_tl = hm - (np.trace(hm) / d) * np.eye(d, dtype=complex)
-    # H is Hermitian, so its operator norm is its largest |eigenvalue|
-    norm = float(np.abs(np.linalg.eigvalsh((h_tl + h_tl.conj().T) / 2)).max())
+    # H is Hermitian, so the norm is the largest |eigenvalue - tr(H)/d|
+    ev = np.linalg.eigvalsh((hm + hm.conj().T) / 2)
+    norm = float(np.abs(ev - np.trace(hm).real / d).max())
     factor = max(n_a + 2 * n_ab, part.d_A * np.sqrt(d / (d - 1)))
     return float(factor * norm * np.sqrt(part.d_A / part.d_B))
 
@@ -465,23 +461,32 @@ def bound_report(h, part: BipartitePartition, w: float, qsl: bool = False,
 
 
 def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
-    """Per-task tight bounds in closed form.
+    """Per-task tight bounds in closed form, A being the first m qubits.
 
-    vqe and qae use the published constants 24 w 2^{-n/2} and
-    (8/sqrt 3) 2^{-n/2}. qsl against |0...0> is ``tight_bound`` evaluated by
-    hand: N_A + 2 N_AB = 2^(m+1) - 1 (every Z word on A couples to B) and
-    ||H - tr(H) I/d||_inf = 1 - 1/d, so the bound is
-    max(2^(m+1) - 1, d_A sqrt(d/(d-1))) (1 - 2^-n) sqrt(d_A/d_B).
+    For m = 1, vqe and qae use the published constants 24 w 2^{-n/2} and
+    (8/sqrt 3) 2^{-n/2}. Every other value is ``tight_bound`` evaluated by hand,
+    with d = 2^n and d_A = 2^m:
+
+    - vqe, m = 2: the periodic chain has N_A + 2 N_AB = 13 and
+      ||H - tr(H) I/d||_inf = -lambda_min = w - n, since lambda_max is the
+      bond count n; so 13 (w - n) sqrt(d_A/d_B).
+    - qae, m = 2: R is the last qubit, so N_A + 2 N_AB = 1 and the norm is 1/2;
+      so d_A sqrt(d/(d-1)) (1/2) sqrt(d_A/d_B).
+    - qsl against |0...0>: N_A + 2 N_AB = 2^(m+1) - 1 (every Z word on A
+      couples to B) and the norm is 1 - 1/d; so
+      max(2^(m+1) - 1, d_A sqrt(d/(d-1))) (1 - 2^-n) sqrt(d_A/d_B).
     """
-    if task == "vqe":
-        return 24.0 * w * 2.0 ** (-n / 2)
-    if task == "qae":
-        return (8.0 / np.sqrt(3.0)) * 2.0 ** (-n / 2)
+    d, d_a = 2.0**n, 2.0**m
+    dims = np.sqrt(d_a / 2.0 ** (n - m))
+    haar_factor = d_a * np.sqrt(d / (d - 1))
     if task == "qsl":
-        d, d_a = 2.0**n, 2.0**m
-        factor = max(2.0 ** (m + 1) - 1, d_a * np.sqrt(d / (d - 1)))
-        return float(factor * (1.0 - 1.0 / d) * np.sqrt(d_a / 2.0 ** (n - m)))
-    raise ValueError(f"no closed-form tight bound for task {task!r}")
+        factor = max(2.0 ** (m + 1) - 1, haar_factor)
+        return float(factor * (1.0 - 1.0 / d) * dims)
+    if task not in ("vqe", "qae") or m not in (1, 2):
+        raise ValueError(f"no closed-form tight bound for task {task!r} at m={m}")
+    if m == 1:
+        return 24.0 * w * 2.0 ** (-n / 2) if task == "vqe" else (8.0 / np.sqrt(3.0)) * 2.0 ** (-n / 2)
+    return float((13.0 * (w - n) if task == "vqe" else 0.5 * haar_factor) * dims)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +522,9 @@ class ParameterizedCircuit:
             bound[idx] = replace(bound[idx], angle=scale * float(val))
         return bound
 
-    def unitary(self, theta) -> np.ndarray:
-        return np.asarray(GateProgram(self.n, self.bind(theta)))
-
     def cost(self, h, rho, theta) -> float:
-        return generic_cost(h, rho, self.unitary(theta))
+        """C(theta) = tr(H U(theta) rho U(theta)+), on state vectors."""
+        return expectation(h, rho, GateProgram(self.n, self.bind(theta)))
 
 
 def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> float:
@@ -575,5 +578,5 @@ def telescoping_bound_check(pc: ParameterizedCircuit, h, rho, theta, theta_prime
         rhs += delta_mu(pc, h, rho, current, mu).delta
         current[mu] = theta_prime[mu]
     if lhs > rhs + 1e-9:
-        raise AssertionError(f"telescoping bound violated: {lhs} > {rhs}")
+        raise BoundViolation(f"telescoping bound violated: {lhs} > {rhs}")
     return lhs, rhs

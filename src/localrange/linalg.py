@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernel.
 
-Everything operates on plain numpy arrays (complex128, square). The
-``Operator`` wrapper only adds dimension metadata and invariant checks at API
-boundaries; the math functions accept either an ``Operator`` or a raw ndarray.
+Everything operates on plain numpy arrays (complex128). The ``Operator``
+wrapper only adds dimension metadata and invariant checks at API boundaries;
+the math functions accept either an ``Operator`` or a raw ndarray.
 
 Basis-ordering convention: qubit 0 is the most significant tensor factor, so
-``kron(A, B)`` puts A on the lower-numbered qubits.
+``np.kron(A, B)`` puts A on the lower-numbered qubits; ``BipartitePartition.a_first``
+is the one order in which subsystem A leads.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest dimension of a dense operator: it guards the dense paths (kron, the
-# dense form of an observable, the oracles and the `bounds` subcommand), not
-# the statevector harness, whose n cap is set by ExperimentConfig.
+# Largest dimension of a dense operator: it guards the dense paths (the dense
+# form of an observable, the `bounds` subcommand and the test oracles), not the
+# statevector harness, whose n cap is set by ExperimentConfig.
 MAX_DIM = 2**14
 
 PAULI = {
@@ -25,13 +26,11 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-PAULI_AXES = "XYZ"
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
-PAULI_COEFF_CUTOFF = 1e-12
 
 
 class DimensionError(ValueError):
@@ -139,53 +138,10 @@ class BipartitePartition:
     def b_sites(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.n) if q not in self.a_sites)
 
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """One weighted Pauli word, e.g. 1.0 * 'XXI'."""
-
-    coefficient: complex
-    word: str
-
-    def matrix(self) -> np.ndarray:
-        return pauli_word_matrix(self.word)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the first factor sits on the more significant qubits."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[0] * mb.shape[0] > MAX_DIM:
-        raise DimensionError(
-            f"kron result dimension {ma.shape[0] * mb.shape[0]} exceeds max {MAX_DIM}"
-        )
-    return np.kron(ma, mb)
-
-
-def kron_aligned(op_a: np.ndarray, op_b: np.ndarray, part: BipartitePartition) -> np.ndarray:
-    """op_a on part.a_sites tensored with op_b on part.b_sites, in label order."""
-    full = kron(op_a, op_b)
-    order = list(part.a_sites) + list(part.b_sites)
-    if order == list(range(part.n)):
-        return full
-    return permute_qubits(full, order)
-
-
-def kron_all(factors) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = kron(out, f)
-    return out
-
-
-def pauli_word_matrix(word: str) -> np.ndarray:
-    return kron_all(PAULI[c] for c in word)
-
-
-def _qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise DimensionError(f"dimension {dim} is not a power of two")
-    return n
+    @property
+    def a_first(self) -> tuple[int, ...]:
+        """Qubit labels with subsystem A leading: the order of every d_A x d_B split."""
+        return self.a_sites + self.b_sites
 
 
 def partial_trace(mat, part: BipartitePartition, traced: str) -> np.ndarray:
@@ -211,25 +167,24 @@ def partial_trace(mat, part: BipartitePartition, traced: str) -> np.ndarray:
     return np.einsum("aibi->ab", t)
 
 
-def permute_qubits(mat, order) -> np.ndarray:
-    """Reorder tensor factors of an operator.
+def to_a_first(x: np.ndarray, part: BipartitePartition, operator: bool = False,
+               inverse: bool = False) -> np.ndarray:
+    """Reorder the qubit factors of x from ascending labels to ``part.a_first``.
 
-    ``order[pos] = q`` means the factor currently at position ``pos`` carries
-    qubit label ``q``; the result has factors in ascending label order.
+    x is a (2^n,) vector or a (2^n, k) block, whose rows are reordered, or with
+    ``operator`` a 2^n x 2^n matrix, whose rows and columns both are.
+    ``inverse`` reorders from ``part.a_first`` back to ascending labels.
     """
-    m = as_matrix(mat)
-    n = len(order)
-    if m.shape[0] != 2**n:
-        raise DimensionError(f"operator dim {m.shape[0]} != 2^{len(order)}")
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    # inverse permutation: where does label q currently live
-    inv = [0] * n
-    for pos, q in enumerate(order):
-        inv[q] = pos
-    t = m.reshape((2,) * (2 * n))
-    t = t.transpose(inv + [n + p for p in inv])
-    return t.reshape(2**n, 2**n)
+    n = part.n
+    if x.shape[0] != part.d or (operator and x.shape[1] != part.d):
+        raise DimensionError(f"array shape {x.shape} does not match 2^{n}")
+    perm = list(part.a_first)
+    if inverse:
+        perm = [perm.index(q) for q in range(n)]
+    k = 2 if operator else 1
+    t = x.reshape((2,) * (k * n) + x.shape[k:])
+    axes = perm + [n + p for p in perm] * (k - 1) + list(range(k * n, t.ndim))
+    return t.transpose(axes).reshape(x.shape)
 
 
 def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
@@ -252,55 +207,6 @@ def spectral_width(h) -> float:
         return width()
     w, _ = eig_hermitian(h)
     return float(w[-1] - w[0])
-
-
-def schatten_norm(mat, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}."""
-    m = as_matrix(mat)
-    if p == 2 or p == 2.0:
-        return float(np.linalg.norm(m))
-    s = np.linalg.svd(m, compute_uv=False)
-    if p == 1:
-        return float(np.sum(s))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(s[0]) if s.size else 0.0
-    raise ValueError(f"unsupported Schatten order {p!r}")
-
-
-def pauli_decompose(h, n: int) -> list[PauliTerm]:
-    """Expand an operator in the n-qubit Pauli basis.
-
-    Coefficients are tr(P_w H) / 2^n; terms with |c| <= 1e-12 are dropped.
-    """
-    m = as_matrix(h)
-    if m.shape[0] != 2**n:
-        raise DimensionError(f"operator dim {m.shape[0]} != 2^{n}")
-    _qubit_count(m.shape[0])
-    # Per-qubit change of basis from the (row, col) index pair to a Pauli label:
-    # c_w = prod_q (1/2) tr(sigma_{w_q} H_q).
-    basis = np.empty((4, 4), dtype=complex)
-    for p, name in enumerate("IXYZ"):
-        s = PAULI[name]
-        for i in range(2):
-            for j in range(2):
-                basis[p, 2 * i + j] = s[j, i] / 2
-    t = m.reshape((2,) * (2 * n))
-    t = t.transpose([ax for q in range(n) for ax in (q, n + q)])
-    t = t.reshape((4,) * n)
-    for q in range(n):
-        t = np.moveaxis(np.tensordot(basis, t, axes=(1, q)), 0, q)
-    terms = []
-    for idx in np.argwhere(np.abs(t) > PAULI_COEFF_CUTOFF):
-        word = "".join("IXYZ"[p] for p in idx)
-        terms.append(PauliTerm(complex(t[tuple(idx)]), word))
-    return terms
-
-
-def pauli_reconstruct(terms, n: int) -> np.ndarray:
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for t in terms:
-        out += t.coefficient * pauli_word_matrix(t.word)
-    return out
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,98 @@
 """Dense 2^n x 2^n reference implementations the statevector code is checked against.
 
-These are the matrix forms of circuit sampling and of the transfer-tensor
-contraction: every circuit is built as a full unitary and the contraction is
-one einsum over the conjugated observable and state. They cost O(L n 4^n) and
-O(d^2 d_A^2) and serve only as test oracles at small n.
+These are the matrix forms of circuit sampling, of the costs and of the
+transfer-tensor contraction: every circuit is built as a full unitary, a cost is
+a trace of matrix products, and the contraction is one einsum over the
+conjugated observable and state. They cost O(L n 4^n) and O(d^2 d_A^2) and
+serve only as test oracles at small n.
 """
 
 import numpy as np
 
 from localrange.circuits import apply_single_qubit, euler_zyz, rotation
-from localrange.linalg import as_matrix, permute_qubits
+from localrange.costs import qae_hamiltonian
+from localrange.landscape import IMAG_RESIDUE_ATOL
+from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, to_a_first
+
+
+def kron(a, b):
+    """Kronecker product; the first factor sits on the more significant qubits."""
+    ma, mb = as_matrix(a), as_matrix(b)
+    if ma.shape[0] * mb.shape[0] > MAX_DIM:
+        raise DimensionError(
+            f"kron result dimension {ma.shape[0] * mb.shape[0]} exceeds max {MAX_DIM}"
+        )
+    return np.kron(ma, mb)
+
+
+def kron_all(factors):
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = kron(out, f)
+    return out
+
+
+def pauli_word_matrix(word):
+    return kron_all(PAULI[c] for c in word)
+
+
+def kron_aligned(op_a, op_b, part):
+    """op_a on part.a_sites tensored with op_b on part.b_sites, in label order."""
+    return to_a_first(kron(op_a, op_b), part, operator=True, inverse=True)
+
+
+def embed_local(ua, part):
+    """Embed a d_A x d_A gate at part.a_sites, identity elsewhere."""
+    if ua.shape[0] != part.d_A:
+        raise DimensionError(f"local gate dim {ua.shape[0]} != d_A={part.d_A}")
+    return kron_aligned(ua, np.eye(part.d_B, dtype=complex), part)
+
+
+def assemble(v1, ua, v2, part):
+    """The full circuit V2 (U_A x I_B) V1."""
+    m1, m2, ma = as_matrix(v1), as_matrix(v2), np.asarray(ua, dtype=complex)
+    d = part.d
+    if m1.shape[0] != d or m2.shape[0] != d:
+        raise DimensionError("V1/V2 dimension does not match the partition")
+    return m2 @ embed_local(ma, part) @ m1
+
+
+def generic_cost(h, rho, u):
+    """C = tr(H U rho U+)."""
+    hm, rm, um = as_matrix(h), as_matrix(rho), as_matrix(u)
+    if not hm.shape == rm.shape == um.shape:
+        raise DimensionError("H, rho, U must share one dimension")
+    evolved = um @ rm @ um.conj().T
+    val = complex(np.trace(hm @ evolved))
+    scale = max(1.0, float(np.abs(val)))
+    if abs(val.imag) > IMAG_RESIDUE_ATOL * scale:
+        raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
+def projector_zero(n, sites):
+    """|0..0><0..0| on the given qubits, identity elsewhere."""
+    ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
+    return kron_all(ket0 if q in set(sites) else PAULI["I"] for q in range(n))
+
+
+def qae_cost(u, rho_qr, r_sites):
+    """1 - tr((|0><0|_R x I_Q) U rho U+): failure probability of the compression."""
+    um, rm = as_matrix(u), as_matrix(rho_qr)
+    n = um.shape[0].bit_length() - 1
+    return generic_cost(qae_hamiltonian(n, r_sites), rm, um)
+
+
+def qsl_cost(u, psi, phi):
+    """1 - |<phi| U |psi>|^2 for unit vectors psi, phi."""
+    um = as_matrix(u)
+    psi = np.asarray(psi, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    for v in (psi, phi):
+        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+            raise ValueError("state vectors must be normalized")
+    amp = phi.conj() @ (um @ psi)
+    return float(1.0 - abs(amp) ** 2)
 
 
 def cz_diag(n, control, target):
@@ -48,24 +131,13 @@ def sample_circuit_dense(ensemble, rng):
     for _ in range(n):
         u = np.kron(u, ry8)
     cz = cz_chain_diag(n)
-    for _ in range(ensemble.effective_layers):
+    for _ in range(ensemble.layers):
         axes = rng.integers(0, 3, size=n)
         angles = rng.uniform(0.0, 2 * np.pi, size=n)
         for q in range(n):
             u = apply_single_qubit(u, rotation("xyz"[axes[q]], angles[q]), q, n)
         u = cz[:, None] * u
     return u
-
-
-def gather_a_front(mat, part):
-    """Reorder tensor factors so subsystem A occupies the leading positions."""
-    sigma = list(part.a_sites) + list(part.b_sites)
-    if sigma == list(range(part.n)):
-        return mat
-    order = [0] * part.n
-    for pos, q in enumerate(sigma):
-        order[q] = pos
-    return permute_qubits(mat, order)
 
 
 def transfer_tensor_dense(h, rho, v1, v2, part):
@@ -80,6 +152,6 @@ def transfer_tensor_dense(h, rho, v1, v2, part):
     else:
         r = rho_arr if v1 is None else as_matrix(v1) @ rho_arr @ as_matrix(v1).conj().T
     assert q.shape == r.shape == (d, d)
-    qr = gather_a_front(q, part).reshape(d_a, d_b, d_a, d_b)
-    rr = gather_a_front(r, part).reshape(d_a, d_b, d_a, d_b)
+    qr = to_a_first(q, part, operator=True).reshape(d_a, d_b, d_a, d_b)
+    rr = to_a_first(r, part, operator=True).reshape(d_a, d_b, d_a, d_b)
     return np.einsum("kaib,jbla->ijkl", qr, rr, optimize=True)

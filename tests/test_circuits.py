@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
 
-from dense_reference import cz_diag, sample_circuit_dense
+from dense_reference import (
+    assemble,
+    cz_diag,
+    embed_local,
+    kron,
+    pauli_word_matrix,
+    sample_circuit_dense,
+)
 from localrange.circuits import (
     CircuitEnsemble,
     GateProgram,
     GateSpec,
     LocalUnitaryParams,
     apply_single_qubit,
-    assemble,
-    embed_local,
     euler_zyz,
-    gate_matrix,
     local_unitary,
     rotation,
     sample_circuit,
     su4_generators,
 )
 from localrange.haar import haar_random_unitary
-from localrange.linalg import PAULI, BipartitePartition, kron, pauli_word_matrix
+from localrange.linalg import PAULI, BipartitePartition
 
 
 def is_unitary(u):
@@ -63,28 +67,27 @@ def test_euler_zyz_covers_su2():
 
 
 def test_gate_matrix_cz():
-    g = GateSpec("cz", 1, control=0)
-    assert np.allclose(gate_matrix(g, 2), np.diag([1, 1, 1, -1]))
     # symmetric in control/target
-    assert np.allclose(gate_matrix(GateSpec("cz", 0, control=1), 2), np.diag([1, 1, 1, -1]))
+    for g in (GateSpec("cz", 1, control=0), GateSpec("cz", 0, control=1)):
+        assert np.allclose(np.asarray(GateProgram(2, (g,))), np.diag([1, 1, 1, -1]))
 
 
 def test_gate_matrix_rotation_placement():
     g = GateSpec("rz", 1, angle=np.pi)
     expected = kron(np.eye(2), rotation("z", np.pi))
-    assert np.allclose(gate_matrix(g, 2), expected)
+    assert np.allclose(np.asarray(GateProgram(2, (g,))), expected)
 
 
 def test_gate_matrix_errors():
     with pytest.raises(ValueError):
-        gate_matrix(GateSpec("rx", 5), 2)
+        GateProgram(2, (GateSpec("rx", 5, angle=0.1),))
     with pytest.raises(ValueError):
-        gate_matrix(GateSpec("rx", 0), 2)  # unbound angle
+        GateProgram(2, (GateSpec("rx", 0),))  # unbound angle
 
 
 def test_cz_matches_basis_loop():
     for control, target in ((0, 1), (1, 0), (0, 3), (3, 1), (2, 3)):
-        got = np.diag(gate_matrix(GateSpec("cz", target, control=control), 4))
+        got = np.diag(np.asarray(GateProgram(4, (GateSpec("cz", target, control=control),))))
         assert np.array_equal(got, cz_diag(4, control, target))
 
 
@@ -119,9 +122,11 @@ class TestSampleCircuit:
         assert u.shape == (8, 8)
         assert is_unitary(u)
 
-    def test_default_layers(self):
-        assert CircuitEnsemble("hardware_efficient", 4).effective_layers == 40
-        assert CircuitEnsemble("hardware_efficient", 4, layers=7).effective_layers == 7
+    def test_layers_required(self):
+        with pytest.raises(ValueError, match="layer count"):
+            CircuitEnsemble("hardware_efficient", 4)
+        assert CircuitEnsemble("hardware_efficient", 4, layers=7).layers == 7
+        assert CircuitEnsemble("one_design_layer", 4).layers is None
 
     def test_zero_layers_is_initial_wall(self):
         ens = CircuitEnsemble("hardware_efficient", 2, layers=0)
@@ -140,7 +145,7 @@ class TestSampleCircuit:
         ("one_design_layer", 1, None),
         ("one_design_layer", 5, None),
         ("hardware_efficient", 1, 3),
-        ("hardware_efficient", 4, None),
+        ("hardware_efficient", 4, 40),
         ("hardware_efficient", 6, 7),
         ("haar", 3, None),
     ])

@@ -28,6 +28,14 @@ def test_bounds_vqe_reports_ranks(capsys):
     assert "N_AB = 3" in out
 
 
+def test_bounds_m2_closed_form_matches_dense(capsys):
+    for task in ("vqe", "qae"):
+        code, out, _ = run_cli(capsys, "bounds", "--task", task, "--n", "7", "--m", "2")
+        assert code == 0
+        values = dict(line.split(" = ") for line in out.splitlines()[1:])
+        assert values["bound_tight_published"] == values["bound_tight"]
+
+
 def test_missing_task_exits_one(capsys):
     code, _, err = run_cli(capsys, "scaling", "--n", "2")
     assert code == 1

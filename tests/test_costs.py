@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
+from dense_reference import generic_cost, pauli_word_matrix, projector_zero, qae_cost, qsl_cost
 from localrange.costs import (
     Observable,
     bures_fidelity,
     fidelity_rank_bound,
-    generic_cost,
     heisenberg,
     product_rank,
-    projector_zero,
-    qae_cost,
     qae_hamiltonian,
-    qsl_cost,
     qsl_hamiltonian,
 )
 from localrange.haar import haar_random_unitary
@@ -20,7 +17,6 @@ from localrange.linalg import (
     BipartitePartition,
     DimensionError,
     partial_trace,
-    pauli_word_matrix,
     random_density,
     random_hermitian,
     random_pure_state,

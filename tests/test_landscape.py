@@ -1,25 +1,30 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import transfer_tensor_dense
+from dense_reference import assemble, generic_cost, pauli_word_matrix, transfer_tensor_dense
+from localrange import landscape
 from localrange.circuits import (
     CircuitEnsemble,
+    GateProgram,
     GateSpec,
-    assemble,
     euler_zyz,
     local_unitary,
     sample_circuit,
 )
-from localrange.costs import generic_cost, heisenberg, qae_hamiltonian, qsl_hamiltonian
+from localrange.costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from localrange.haar import haar_random_unitary
 from localrange.landscape import (
     AdamConfig,
+    BoundViolation,
     ParameterizedCircuit,
     coupling_rank,
     delta_mu,
-    general_bound,
+    expectation,
     markov_tail,
     parameter_shift_derivative,
     pauli_reduction_m1,
@@ -38,7 +43,6 @@ from localrange.linalg import (
     PAULI,
     BipartitePartition,
     DimensionError,
-    pauli_word_matrix,
     random_density,
     random_hermitian,
     random_pure_state,
@@ -302,14 +306,13 @@ class TestBounds:
         assert theorem1_bound(1.0, 20, 1) == pytest.approx(1.0 / 32)
 
     def test_general_form_coincides(self):
+        # the dimension-explicit form 4 w d_A^2 sqrt(d_A / d_B)
         for n in range(4, 12):
             for m in (1, 2):
+                d_a, d_b = 2**m, 2 ** (n - m)
                 a = theorem1_bound(1.0, n, m)
-                b = general_bound(1.0, 2**m, 2 ** (n - m))
+                b = 4.0 * d_a**2 * np.sqrt(d_a / d_b)
                 assert a == pytest.approx(b, abs=1e-12 * max(1.0, a))
-
-    def test_general_example(self):
-        assert general_bound(1.0, 2, 2**9) == pytest.approx(1.0)
 
     def test_variance_is_width_times_mean_bound(self):
         assert variance_bound(3.0, 8, 1) == pytest.approx(3.0 * theorem1_bound(3.0, 8, 1))
@@ -363,6 +366,15 @@ class TestCouplingRank:
         dense = tight_bound(qsl_hamiltonian(e0), part)
         assert task_tight_bound("qsl", n, 1.0, m) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("task", ["vqe", "qae"])
+    def test_m2_closed_form_equals_dense(self, task, n):
+        part = BipartitePartition(n, (0, 1))
+        h = heisenberg(n) if task == "vqe" else qae_hamiltonian(n, (n - 1,))
+        dense = tight_bound(h, part)
+        closed = task_tight_bound(task, n, spectral_width(h), 2)
+        assert closed == pytest.approx(dense, rel=1e-12, abs=0.0)
+
     def test_qsl_closed_form_m1(self):
         for n in (4, 14, 16):
             want = 3.0 * (1 - 2.0**-n) * 2.0 ** (1 - n / 2)
@@ -371,6 +383,8 @@ class TestCouplingRank:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             task_tight_bound("qft", 4, 1.0)
+        with pytest.raises(ValueError):
+            task_tight_bound("qae", 6, 1.0, m=3)
 
 
 def _ry_z_circuit():
@@ -482,6 +496,103 @@ class TestTelescoping:
         pc, h, rho = _ry_z_circuit()
         with pytest.raises(ValueError):
             telescoping_bound_check(pc, h, rho, [0.1], [0.1, 0.2])
+
+    def test_violation_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(landscape, "delta_mu", lambda *args: SimpleNamespace(delta=0.0))
+        pc, h, rho = _ry_z_circuit()
+        with pytest.raises(BoundViolation, match="telescoping"):
+            telescoping_bound_check(pc, h, rho, [0.3], [2.9])
+
+
+def test_cost_matches_dense_oracle():
+    # criterion 3's inputs, replayed from its seed: the shift rule and the
+    # finite-difference costs against tr(H U rho U+) with U the dense unitary
+    rng = np.random.default_rng(303)
+
+    def dense_cost(pc, h, rho, theta):
+        return generic_cost(h, rho, np.asarray(GateProgram(pc.n, pc.bind(theta))))
+
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        pc = _random_circuit(n, rng)
+        h = random_hermitian(2**n, rng)
+        rho = random_density(2**n, rng)
+        theta = rng.uniform(0, 2 * np.pi, pc.num_parameters)
+        mu = int(rng.integers(pc.num_parameters))
+        for shift in (np.pi / 2, 1e-5):
+            e = np.zeros_like(theta)
+            e[mu] = shift
+            for point in (theta + e, theta - e):
+                want = dense_cost(pc, h, rho, point)
+                assert abs(pc.cost(h, rho, point) - want) <= 1e-12 * max(1.0, abs(want))
+        psi = random_pure_state(2**n, rng)
+        want = dense_cost(pc, h, np.outer(psi, psi.conj()), theta)
+        assert abs(pc.cost(h, psi, theta) - want) <= 1e-12 * max(1.0, abs(want))
+    # criterion 7's telescoping shape: 4 qubits, 8 parameters
+    for _ in range(20):
+        pc = _random_circuit(4, rng)
+        h, rho = random_hermitian(16, rng), random_density(16, rng)
+        a, b = rng.uniform(0, 2 * np.pi, (2, pc.num_parameters))
+        lhs, _ = telescoping_bound_check(pc, h, rho, a, b)
+        want = abs(dense_cost(pc, h, rho, b) - dense_cost(pc, h, rho, a))
+        assert abs(lhs - want) <= 1e-12 * max(1.0, want)
+
+
+def test_expectation_rejects_bad_input():
+    h = pauli_word_matrix("ZI")
+    with pytest.raises(DimensionError):
+        expectation(h, np.ones(8) / np.sqrt(8), None)
+    with pytest.raises(DimensionError):
+        expectation(heisenberg(3), np.ones(4) / 2, None)
+    with pytest.raises(ValueError, match="imaginary"):
+        expectation(np.array([[0, 1], [0, 0]]), np.array([1, 1j]) / np.sqrt(2), None)
+
+
+def test_parameterized_circuit_forms_no_dense_matrix(monkeypatch):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError(f"dense form of a {type(self).__name__} requested")
+
+    monkeypatch.setattr(GateProgram, "__array__", refuse)
+    monkeypatch.setattr(Observable, "__array__", refuse)
+    rng = np.random.default_rng(20)
+    n = 6
+    pc = _random_circuit(n, rng)
+    h = heisenberg(n)
+    psi = random_pure_state(2**n, rng)
+    a, b = rng.uniform(0, 2 * np.pi, (2, pc.num_parameters))
+    assert -2 * n <= pc.cost(h, psi, a) <= n
+    d = parameter_shift_derivative(pc, h, psi, a, 3)
+    assert abs(d) <= delta_mu(pc, h, psi, a, 3).delta + 1e-9
+    lhs, rhs = telescoping_bound_check(pc, h, psi, a, b)
+    assert lhs <= rhs + 1e-9
+
+
+def test_shift_rule_and_gate_range_at_n14():
+    # a dense unitary at n = 14 is 4 GiB; one state vector is 256 KiB
+    n = 14
+    rng = np.random.default_rng(21)
+    pc = _random_circuit(n, rng)
+    h = heisenberg(n)
+    psi = random_pure_state(2**n, rng)
+    theta = rng.uniform(0, 2 * np.pi, pc.num_parameters)
+    eps = 1e-5
+    results = []
+    tracemalloc.start()
+    try:
+        for mu in (0, n + 3, pc.num_parameters - 1):
+            exact = parameter_shift_derivative(pc, h, psi, theta, mu)
+            e = np.zeros_like(theta)
+            e[mu] = eps
+            fd = (pc.cost(h, psi, theta + e) - pc.cost(h, psi, theta - e)) / (2 * eps)
+            results.append((exact, fd, delta_mu(pc, h, psi, theta, mu).delta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for exact, fd, delta in results:
+        assert abs(exact - fd) < 1e-6 * max(1.0, abs(exact))
+        assert abs(exact) <= delta + 1e-9
+    assert max(abs(r[0]) for r in results) > 1e-3  # the comparison is not between zeros
 
 
 @pytest.mark.parametrize("a_sites", [(0,), (2,), (0, 1), (1, 3)])

@@ -1,27 +1,23 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import kron, kron_all, pauli_word_matrix
 from localrange.linalg import (
     PAULI,
     BipartitePartition,
     DimensionError,
     Operator,
-    PauliTerm,
     eig_hermitian,
-    kron,
-    kron_all,
     partial_trace,
-    pauli_decompose,
-    pauli_reconstruct,
-    pauli_word_matrix,
-    permute_qubits,
     random_density,
     random_hermitian,
     random_pure_state,
-    schatten_norm,
     spectral_width,
+    to_a_first,
 )
 
 
@@ -58,6 +54,7 @@ class TestPartition:
         p = BipartitePartition(5, (1, 3))
         assert (p.m, p.d_A, p.d_B, p.d) == (2, 4, 8, 32)
         assert p.b_sites == (0, 2, 4)
+        assert p.a_first == (1, 3, 0, 2, 4)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -129,20 +126,38 @@ def test_partial_trace_trace_preserved_many():
 
 
 def test_permute_qubits_swap():
-    m = pauli_word_matrix("XZ")
-    # factor at position 0 carries label 1, position 1 carries label 0
-    assert np.allclose(permute_qubits(m, [1, 0]), pauli_word_matrix("ZX"))
+    # A = qubit 1 leads: the factor on qubit 1 moves to the front
+    part = BipartitePartition(2, (1,))
+    assert np.allclose(to_a_first(pauli_word_matrix("XZ"), part, operator=True),
+                       pauli_word_matrix("ZX"))
 
 
 def test_permute_qubits_three_cycle():
-    m = pauli_word_matrix("XYZ")
-    out = permute_qubits(m, [2, 0, 1])
+    # a_first = (2, 0, 1): in that order the factors X, Y, Z sit on qubits 2, 0, 1
+    part = BipartitePartition(3, (2,))
+    out = to_a_first(pauli_word_matrix("XYZ"), part, operator=True, inverse=True)
     assert np.allclose(out, pauli_word_matrix("YZX"))
+    assert np.allclose(to_a_first(out, part, operator=True), pauli_word_matrix("XYZ"))
 
 
 def test_permute_rejects_bad_order():
     with pytest.raises(ValueError):
-        permute_qubits(np.eye(4), [0, 0])
+        to_a_first(np.eye(4), BipartitePartition(3, (0,)), operator=True)
+
+
+@pytest.mark.parametrize("a_sites", [(0,), (2,), (1, 3), (3, 0)])
+def test_to_a_first_on_state_blocks(a_sites):
+    # a product state with its factors in label order, against them listed A first
+    rng = np.random.default_rng(len(a_sites) + sum(a_sites))
+    part = BipartitePartition(4, a_sites)
+    factors = [random_pure_state(2, rng) for _ in range(4)]
+    label = reduce(np.kron, factors)
+    front = reduce(np.kron, [factors[q] for q in part.a_first])
+    assert np.allclose(to_a_first(label, part), front)
+    block = np.stack([label, 2 * label, label.conj()], axis=1)
+    out = to_a_first(block, part)
+    assert np.allclose(out[:, 1], 2 * front)
+    assert np.array_equal(to_a_first(out, part, inverse=True), block)
 
 
 def test_eig_hermitian_sorted_and_validates():
@@ -155,39 +170,6 @@ def test_eig_hermitian_sorted_and_validates():
 def test_spectral_width():
     assert spectral_width(PAULI["Z"]) == pytest.approx(2.0)
     assert spectral_width(np.eye(4)) == pytest.approx(0.0)
-
-
-def test_schatten_norms():
-    m = np.diag([3.0, -4.0])
-    assert schatten_norm(m, 1) == pytest.approx(7.0)
-    assert schatten_norm(m, 2) == pytest.approx(5.0)
-    assert schatten_norm(m, np.inf) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        schatten_norm(m, 3)
-
-
-class TestPauliDecompose:
-    def test_single_word(self):
-        terms = pauli_decompose(pauli_word_matrix("XZY"), 3)
-        assert len(terms) == 1
-        assert terms[0].word == "XZY"
-        assert terms[0].coefficient == pytest.approx(1.0)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(8, rng)
-        terms = pauli_decompose(h, 3)
-        assert np.allclose(pauli_reconstruct(terms, 3), h, atol=1e-12)
-
-    def test_cutoff_drops_small_terms(self):
-        h = pauli_word_matrix("ZZ") + 1e-14 * pauli_word_matrix("XX")
-        words = {t.word for t in pauli_decompose(h, 2)}
-        assert words == {"ZZ"}
-
-    def test_hermitian_gives_real_coefficients(self):
-        rng = np.random.default_rng(4)
-        for t in pauli_decompose(random_hermitian(4, rng), 2):
-            assert abs(t.coefficient.imag) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -211,7 +193,3 @@ def test_random_pure_state_normalized():
     psi = random_pure_state(8, np.random.default_rng(5))
     assert np.isclose(np.linalg.norm(psi), 1.0)
 
-
-def test_pauli_term_matrix():
-    t = PauliTerm(2.0, "XY")
-    assert np.allclose(t.matrix(), kron(PAULI["X"], PAULI["Y"]))
