@@ -225,17 +225,13 @@ def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateP
     return GateProgram(n, gates)
 
 
-_SU4_GENERATORS: list[np.ndarray] | None = None
-
-
-def su4_generators() -> list[np.ndarray]:
-    """The 15 nonidentity two-qubit Pauli words, in lexicographic order."""
-    global _SU4_GENERATORS
-    if _SU4_GENERATORS is None:
-        _SU4_GENERATORS = [
-            np.kron(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ" if a + b != "II"
-        ]
-    return _SU4_GENERATORS
+@lru_cache(maxsize=1)
+def su4_generators() -> tuple[np.ndarray, ...]:
+    """The 15 nonidentity two-qubit Pauli words, in lexicographic order, read-only."""
+    gens = tuple(np.kron(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ" if a + b != "II")
+    for g in gens:
+        g.flags.writeable = False  # shared by every caller through the cache
+    return gens
 
 
 def local_unitary(params: LocalUnitaryParams) -> np.ndarray:

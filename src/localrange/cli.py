@@ -153,8 +153,8 @@ def _cmd_validate_haar(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.m >= args.n:
-        raise ConfigError(f"m: must be smaller than n, got m={args.m}, n={args.n}")
+    if args.m not in (1, 2) or args.m >= args.n:
+        raise ConfigError(f"m: must be 1 or 2 and smaller than n, got m={args.m}, n={args.n}")
     inst = harness.setup_task(args.task, args.n, args.m)
     rep = bound_report(inst.h, inst.part, inst.w, qsl=(args.task == "qsl"))
     print(f"task = {args.task}, n = {args.n}, m = {args.m}, w = {inst.w:.12g}")

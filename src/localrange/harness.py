@@ -65,10 +65,13 @@ class ExperimentConfig:
     optimizer: str = "exact"
 
     def __post_init__(self):
+        # values may come from JSON: check types before any comparison or lookup
+        for name, value in vars(self).items():
+            want = str if name in ("task", "ensemble_config", "design_kind", "optimizer") else int
+            if type(value) is not want and not (name == "layers" and value is None):
+                raise ConfigError(f"{name}: expected {want.__name__}, got {value!r}")
         if self.task not in TASK_IDS:
             raise ConfigError(f"task: expected one of {sorted(TASK_IDS)}, got {self.task!r}")
-        if not (isinstance(self.n_min, int) and isinstance(self.n_max, int)):
-            raise ConfigError("n_min/n_max: expected integers")
         if not 2 <= self.n_min <= self.n_max <= MAX_QUBITS:
             raise ConfigError(
                 f"n_min/n_max: need 2 <= n_min <= n_max <= {MAX_QUBITS}, "
@@ -84,14 +87,12 @@ class ExperimentConfig:
             )
         if self.design_kind not in DESIGN_KINDS:
             raise ConfigError(f"design_kind: expected one of {DESIGN_KINDS}, got {self.design_kind!r}")
-        if self.layers is not None and (not isinstance(self.layers, int) or self.layers < 0):
+        if self.layers is not None and self.layers < 0:
             raise ConfigError(f"layers: must be a nonnegative integer, got {self.layers!r}")
         if self.layers_multiplier < 0:
             raise ConfigError(f"layers_multiplier: must be nonnegative, got {self.layers_multiplier}")
-        if not isinstance(self.samples, int) or self.samples < 2:
+        if self.samples < 2:
             raise ConfigError(f"samples: need at least 2, got {self.samples!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer: expected one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.m == 2 and self.optimizer != "adam":

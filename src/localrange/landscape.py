@@ -3,14 +3,15 @@
 The cost C(U_A) = tr(H V2 (U_A x I_B) V1 rho V1+ (U_A+ x I_B) V2+) is quadratic
 in the entries of U_A, so everything outside subsystem A is contracted once
 into a d_A^2 x d_A^2 transfer tensor; each candidate local gate then costs
-O(d_A^4) to evaluate. For a single-qubit gate the range
-max C - min C is available in closed form through a constrained orthogonal
-Procrustes problem on the induced Bloch-sphere rotation.
+O(d_A^4) to evaluate. For a single-qubit gate U = q0 I - i(q1 X + q2 Y + q3 Z),
+q a unit quaternion, the cost is a quadratic form q^T S q with S real
+symmetric 4 x 4, so the range max C - min C is lambda_max(S) - lambda_min(S).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
@@ -141,6 +142,12 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
 
 @dataclass(frozen=True)
 class VariationResult:
+    """Extrema of the cost over the local gate and where they are attained.
+
+    ``degenerate`` (exact solver): the top or bottom eigenvalue of S is within
+    DEGENERACY_RTOL * delta of its neighbour, so the argmax or argmin is not unique.
+    """
+
     max_value: float
     min_value: float
     delta: float
@@ -152,62 +159,57 @@ class VariationResult:
     degenerate: bool = False
 
 
-_PAULI_VEC = [PAULI[a] for a in "XYZ"]
+# U = q0 I - i(q1 X + q2 Y + q3 Z) = sum_a q_a B^a for a unit quaternion q
+_QUATERNION_BASIS = np.stack([PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"])
 
 
-def pauli_reduction_m1(t: TransferTensor) -> tuple[float, np.ndarray]:
-    """Rewrite a single-qubit cost as c0 + tr(M^T R(U)) over Bloch rotations R."""
+def quaternion_form(t: TransferTensor) -> np.ndarray:
+    """Real symmetric S with C(U) = q^T S q, from S_ab = sum T_ijkl B^a_ij conj(B^b_kl).
+
+    That S is Hermitian for valid input; its antisymmetric imaginary part drops out.
+    """
     if t.part.m != 1:
-        raise DimensionError("Bloch reduction requires a single-qubit subsystem")
-    sig = [PAULI["I"]] + _PAULI_VEC
-    a = np.empty((4, 4), dtype=complex)
-    for p in range(4):
-        for q in range(4):
-            a[p, q] = 0.5 * np.einsum("ijkl,ik,lj->", t.tensor, sig[p], sig[q])
-    if max_abs(a.imag) > 1e-9 * max(1.0, max_abs(a.real)):
-        raise ValueError("cost quadratic form is not real; H or rho not Hermitian?")
-    return float(a[0, 0].real), a[1:, 1:].real.copy()
+        raise DimensionError("the quaternion form requires a single-qubit subsystem")
+    s = np.einsum("ijkl,aij,bkl->ab", t.tensor, _QUATERNION_BASIS, _QUATERNION_BASIS.conj())
+    if max_abs(s - s.conj().T) > 1e-9 * max(1.0, max_abs(s)):
+        raise ValueError("cost quadratic form is not Hermitian; H or rho not Hermitian?")
+    return ((s + s.conj().T) / 2).real
 
 
-def _zyz_angles(r: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles (phi, theta, alpha) with Rz(phi) Ry(theta) Rz(alpha) = r."""
-    c = float(np.clip(r[2, 2], -1.0, 1.0))
-    if c > 1.0 - 1e-12:
-        return float(np.arctan2(r[1, 0], r[0, 0])), 0.0, 0.0
-    if c < -1.0 + 1e-12:
-        return float(np.arctan2(-r[1, 0], -r[0, 0])), np.pi, 0.0
-    theta = float(np.arccos(c))
-    phi = float(np.arctan2(r[1, 2], r[0, 2]))
-    alpha = float(np.arctan2(r[2, 1], -r[2, 0]))
-    return phi, theta, alpha
+def _zyz_from_quaternion(q: np.ndarray) -> LocalUnitaryParams:
+    """ZYZ angles of +-sum_a q_a B^a, the sign making the largest |q_a| positive.
+
+    Rz(phi) Ry(theta) Rz(alpha) has q0 - i q3 = cos(theta/2) e^{-i(phi+alpha)/2}
+    and q2 - i q1 = sin(theta/2) e^{i(phi-alpha)/2}, the poles included.
+    """
+    q0, q1, q2, q3 = q * np.sign(q[np.argmax(np.abs(q))])
+    plus, minus = 2.0 * np.arctan2(q3, q0), 2.0 * np.arctan2(-q1, q2)
+    theta = 2.0 * np.arctan2(np.hypot(q1, q2), np.hypot(q0, q3))
+    return LocalUnitaryParams(((plus + minus) / 2, theta, (plus - minus) / 2))
 
 
 def variation_range_exact_m1(t: TransferTensor) -> VariationResult:
-    """Closed-form range via constrained Procrustes on the Bloch-transfer matrix."""
-    c0, m = pauli_reduction_m1(t)
-    u, s, vt = np.linalg.svd(m)
-    det_sign = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
-    r_max = u @ np.diag([1.0, 1.0, det_sign]) @ vt
-    # minimizing tr(M^T R) is maximizing for -M
-    r_min = (-u) @ np.diag([1.0, 1.0, -det_sign]) @ vt
-    max_val = c0 + s[0] + s[1] + det_sign * s[2]
-    min_val = c0 - (s[0] + s[1] - det_sign * s[2])
-    degenerate = bool(s[2] < DEGENERACY_RTOL * s[0]) if s[0] > 0 else True
+    """Closed-form range: the extreme eigenpairs of S, centred on tr(S)/4 for accuracy."""
+    s = quaternion_form(t)
+    c0 = np.trace(s) / 4
+    w, v = np.linalg.eigh(s - c0 * np.eye(4))
+    delta = float(w[3] - w[0])
     return VariationResult(
-        max_value=max_val,
-        min_value=min_val,
-        delta=2.0 * (s[0] + s[1]),
-        argmax=LocalUnitaryParams(_zyz_angles(r_max)),
-        argmin=LocalUnitaryParams(_zyz_angles(r_min)),
+        max_value=float(c0 + w[3]),
+        min_value=float(c0 + w[0]),
+        delta=delta,
+        argmax=_zyz_from_quaternion(v[:, 3]),
+        argmin=_zyz_from_quaternion(v[:, 0]),
         method="exact",
         iterations=0,
         converged=True,
-        degenerate=degenerate,
+        degenerate=bool(min(w[1] - w[0], w[3] - w[2]) <= DEGENERACY_RTOL * delta),
     )
 
 
+@lru_cache(maxsize=8)
 def _euler_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """All resolution^3 ZYZ unitaries on the uniform [0, 2pi)^3 grid."""
+    """All resolution^3 ZYZ unitaries on the uniform [0, 2pi)^3 grid, read-only."""
     angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     phi, theta, alpha = np.meshgrid(angles, angles, angles, indexing="ij")
     phi, theta, alpha = phi.ravel(), theta.ravel(), alpha.ravel()
@@ -217,10 +219,9 @@ def _euler_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     us[:, 0, 1] = -np.exp(-0.5j * (phi - alpha)) * s
     us[:, 1, 0] = np.exp(0.5j * (phi - alpha)) * s
     us[:, 1, 1] = np.exp(0.5j * (phi + alpha)) * c
-    return us, np.stack([phi, theta, alpha], axis=1)
-
-
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    angs = np.stack([phi, theta, alpha], axis=1)
+    us.flags.writeable = angs.flags.writeable = False  # shared through the cache
+    return us, angs
 
 
 def variation_range_grid(t: TransferTensor, resolution: int = GRID_DEFAULT_RESOLUTION) -> VariationResult:
@@ -229,9 +230,7 @@ def variation_range_grid(t: TransferTensor, resolution: int = GRID_DEFAULT_RESOL
         raise DimensionError("grid search requires a single-qubit subsystem")
     if resolution < 4:
         raise ValueError("grid resolution must be at least 4")
-    if resolution not in _GRID_CACHE:
-        _GRID_CACHE[resolution] = _euler_grid(resolution)
-    us, angs = _GRID_CACHE[resolution]
+    us, angs = _euler_grid(resolution)
     vals = np.einsum("ijkl,nij,nkl->n", t.tensor, us, us.conj(), optimize=True).real
     hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
     return VariationResult(
@@ -391,10 +390,12 @@ def qsl_bound(n: int, m: int) -> float:
     return 2.0 ** (2 * m - n)
 
 
-def _a_words(m: int) -> list[np.ndarray]:
+def _a_words(m: int) -> tuple[np.ndarray, ...]:
     if m == 1:
-        return list(_PAULI_VEC)
-    return su4_generators()
+        return tuple(PAULI[a] for a in "XYZ")
+    if m == 2:
+        return su4_generators()
+    raise DimensionError(f"Pauli words are tabulated for m = 1 or 2 only, got m={m}")
 
 
 def coupling_rank(h, part: BipartitePartition) -> tuple[int, int]:

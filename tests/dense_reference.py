@@ -1,18 +1,20 @@
-"""Dense 2^n x 2^n reference implementations the statevector code is checked against.
+"""Reference implementations the statevector code and the solvers are checked against.
 
 These are the matrix forms of circuit sampling, of the costs and of the
 transfer-tensor contraction: every circuit is built as a full unitary, a cost is
 a trace of matrix products, and the contraction is one einsum over the
 conjugated observable and state. They cost O(L n 4^n) and O(d^2 d_A^2) and
-serve only as test oracles at small n.
+serve only as test oracles at small n. The single-qubit range also has a
+second closed form here, a constrained orthogonal Procrustes problem on the
+Bloch-sphere rotation, as the oracle for the quaternion solver.
 """
 
 import numpy as np
 
-from localrange.circuits import apply_single_qubit, euler_zyz, rotation
+from localrange.circuits import LocalUnitaryParams, apply_single_qubit, euler_zyz, rotation
 from localrange.costs import qae_hamiltonian
-from localrange.landscape import IMAG_RESIDUE_ATOL
-from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, to_a_first
+from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, VariationResult
+from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, max_abs, to_a_first
 
 
 def kron(a, b):
@@ -155,3 +157,57 @@ def transfer_tensor_dense(h, rho, v1, v2, part):
     qr = to_a_first(q, part, operator=True).reshape(d_a, d_b, d_a, d_b)
     rr = to_a_first(r, part, operator=True).reshape(d_a, d_b, d_a, d_b)
     return np.einsum("kaib,jbla->ijkl", qr, rr, optimize=True)
+
+
+_PAULI_VEC = [PAULI[a] for a in "XYZ"]
+
+
+def pauli_reduction_m1(t):
+    """Rewrite a single-qubit cost as c0 + tr(M^T R(U)) over Bloch rotations R."""
+    if t.part.m != 1:
+        raise DimensionError("Bloch reduction requires a single-qubit subsystem")
+    sig = [PAULI["I"]] + _PAULI_VEC
+    a = np.empty((4, 4), dtype=complex)
+    for p in range(4):
+        for q in range(4):
+            a[p, q] = 0.5 * np.einsum("ijkl,ik,lj->", t.tensor, sig[p], sig[q])
+    if max_abs(a.imag) > 1e-9 * max(1.0, max_abs(a.real)):
+        raise ValueError("cost quadratic form is not real; H or rho not Hermitian?")
+    return float(a[0, 0].real), a[1:, 1:].real.copy()
+
+
+def _zyz_angles(r):
+    """Euler angles (phi, theta, alpha) with Rz(phi) Ry(theta) Rz(alpha) = r."""
+    c = float(np.clip(r[2, 2], -1.0, 1.0))
+    if c > 1.0 - 1e-12:
+        return float(np.arctan2(r[1, 0], r[0, 0])), 0.0, 0.0
+    if c < -1.0 + 1e-12:
+        return float(np.arctan2(-r[1, 0], -r[0, 0])), np.pi, 0.0
+    theta = float(np.arccos(c))
+    phi = float(np.arctan2(r[1, 2], r[0, 2]))
+    alpha = float(np.arctan2(r[2, 1], -r[2, 0]))
+    return phi, theta, alpha
+
+
+def procrustes_range_m1(t):
+    """Closed-form range via constrained Procrustes on the Bloch-transfer matrix."""
+    c0, m = pauli_reduction_m1(t)
+    u, s, vt = np.linalg.svd(m)
+    det_sign = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
+    r_max = u @ np.diag([1.0, 1.0, det_sign]) @ vt
+    # minimizing tr(M^T R) is maximizing for -M
+    r_min = (-u) @ np.diag([1.0, 1.0, -det_sign]) @ vt
+    max_val = c0 + s[0] + s[1] + det_sign * s[2]
+    min_val = c0 - (s[0] + s[1] - det_sign * s[2])
+    degenerate = bool(s[2] < DEGENERACY_RTOL * s[0]) if s[0] > 0 else True
+    return VariationResult(
+        max_value=max_val,
+        min_value=min_val,
+        delta=2.0 * (s[0] + s[1]),
+        argmax=LocalUnitaryParams(_zyz_angles(r_max)),
+        argmin=LocalUnitaryParams(_zyz_angles(r_min)),
+        method="procrustes",
+        iterations=0,
+        converged=True,
+        degenerate=degenerate,
+    )

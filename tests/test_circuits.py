@@ -22,6 +22,7 @@ from localrange.circuits import (
     su4_generators,
 )
 from localrange.haar import haar_random_unitary
+from localrange.landscape import _euler_grid
 from localrange.linalg import PAULI, BipartitePartition
 
 
@@ -218,6 +219,18 @@ def test_su4_generators():
     assert np.allclose(gens[-1], pauli_word_matrix("ZZ"))
     for g in gens:
         assert abs(np.trace(g)) < 1e-12
+
+
+def test_cached_arrays_are_read_only():
+    # every caller shares the cached arrays, so none may write into them
+    gens = su4_generators()
+    assert isinstance(gens, tuple)
+    assert su4_generators() is gens
+    us, angs = _euler_grid(8)
+    for a in gens + (us, angs):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 class TestEmbedLocal:

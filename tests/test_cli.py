@@ -36,6 +36,21 @@ def test_bounds_m2_closed_form_matches_dense(capsys):
         assert values["bound_tight_published"] == values["bound_tight"]
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_bounds_rejects_unsupported_m(capsys, m):
+    code, out, err = run_cli(capsys, "bounds", "--task", "vqe", "--n", "6", "--m", str(m))
+    assert code == 1
+    assert err.startswith("localrange: error: m:")
+    assert out == ""
+
+
+def test_bounds_refuses_dense_h_above_cap(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--task", "vqe", "--n", "13")
+    assert code == 1
+    assert "dense observable dimension 2^13 exceeds max 4096" in err
+    assert "Traceback" not in err
+
+
 def test_missing_task_exits_one(capsys):
     code, _, err = run_cli(capsys, "scaling", "--n", "2")
     assert code == 1
@@ -92,10 +107,22 @@ def test_config_unreadable(capsys):
     assert code == 1
 
 
-def test_invalid_config_value_exits_one(capsys):
+def test_invalid_config_value_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "1")
     assert code == 1
     assert "n_min" in err
+    # JSON values of the wrong type name their field instead of raising later
+    cfg = tmp_path / "cfg.json"
+    for field, value in (("layers_multiplier", 1.5), ("task", ["vqe"]),
+                         ("ensemble_config", ["both"]), ("design_kind", 2),
+                         ("optimizer", None), ("seed", True), ("samples", 2.0),
+                         ("m", False), ("layers", "4"), ("n_max", 3.0)):
+        cfg.write_text(json.dumps({"task": "vqe", "n_min": 2, "samples": 2, field: value}))
+        code, out, err = run_cli(capsys, "scaling", "--config", str(cfg))
+        assert code == 1, field
+        assert err.startswith(f"localrange: error: {field}:"), err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def test_layers_subcommand(capsys):

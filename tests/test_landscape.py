@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import assemble, generic_cost, pauli_word_matrix, transfer_tensor_dense
+from dense_reference import (
+    assemble,
+    generic_cost,
+    pauli_word_matrix,
+    procrustes_range_m1,
+    transfer_tensor_dense,
+)
 from localrange import landscape
 from localrange.circuits import (
     CircuitEnsemble,
@@ -27,8 +33,8 @@ from localrange.landscape import (
     expectation,
     markov_tail,
     parameter_shift_derivative,
-    pauli_reduction_m1,
     qsl_bound,
+    quaternion_form,
     task_tight_bound,
     telescoping_bound_check,
     theorem1_bound,
@@ -160,6 +166,30 @@ class TestExactOracle:
         assert res.max_value == pytest.approx(1.0, abs=1e-12)
         assert res.min_value == pytest.approx(-1.0, abs=1e-12)
         assert res.delta == pytest.approx(2.0, abs=1e-12)
+        # <0|U+ Z U|0> is largest for diagonal U (theta = 0), smallest for antidiagonal U
+        assert res.argmax.values[1] == pytest.approx(0.0, abs=1e-12)
+        assert res.argmin.values[1] == pytest.approx(np.pi, abs=1e-12)
+        assert t.evaluate(euler_zyz(*res.argmax.values)) == pytest.approx(1.0, abs=1e-12)
+        assert t.evaluate(euler_zyz(*res.argmin.values)) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("diag,theta_max,theta_min", [
+        ((3.0, 1.0, 0.0, -1.0), 0.0, 0.0),  # argmax I, argmin -iZ
+        ((0.0, 2.0, 1.0, -1.0), np.pi, 0.0),  # argmax -iX, argmin -iZ
+        ((0.5, -1.0, 2.0, 0.0), np.pi, np.pi),  # argmax -iY, argmin -iX
+    ])
+    def test_unique_extrema_at_poles(self, diag, theta_max, theta_min):
+        # T with S = diag(...): B^a are orthogonal with tr(B^a+ B^b) = 2 delta_ab
+        basis = np.stack([PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"])
+        tensor = np.einsum("a,aij,akl->ijkl", np.asarray(diag), basis.conj(), basis) / 4
+        t = landscape.TransferTensor(BipartitePartition(2, (0,)), tensor)
+        assert np.allclose(quaternion_form(t), np.diag(diag), atol=1e-15)
+        res = variation_range_exact_m1(t)
+        assert res.delta == pytest.approx(max(diag) - min(diag), abs=1e-14)
+        assert not res.degenerate
+        assert res.argmax.values[1] == pytest.approx(theta_max, abs=1e-14)
+        assert res.argmin.values[1] == pytest.approx(theta_min, abs=1e-14)
+        assert t.evaluate(euler_zyz(*res.argmax.values)) == pytest.approx(max(diag), abs=1e-14)
+        assert t.evaluate(euler_zyz(*res.argmin.values)) == pytest.approx(min(diag), abs=1e-14)
 
     def test_argmax_argmin_achieve_extremes(self):
         rng = np.random.default_rng(6)
@@ -188,20 +218,45 @@ class TestExactOracle:
         with pytest.raises(DimensionError):
             variation_range_exact_m1(t)
 
-    def test_pauli_reduction_reconstructs_cost(self):
+    def test_quaternion_form_reconstructs_cost(self):
         rng = np.random.default_rng(9)
         h, rho, v1, v2, part = random_instance(3, rng)
         t = transfer_tensor(h, rho, v1, v2, part)
-        c0, m = pauli_reduction_m1(t)
-        u = haar_random_unitary(2, rng)
-        # R_ab from conjugation: U sigma_b U+ = sum_a R_ab sigma_a
-        r = np.empty((3, 3))
-        sig = [PAULI[x] for x in "XYZ"]
-        for b in range(3):
-            conj = u @ sig[b] @ u.conj().T
-            for a in range(3):
-                r[a, b] = 0.5 * np.trace(sig[a] @ conj).real
-        assert c0 + np.sum(m * r) == pytest.approx(t.evaluate(u), abs=1e-9)
+        s = quaternion_form(t)
+        assert s.dtype == float and np.array_equal(s, s.T)
+        for _ in range(20):
+            u = haar_random_unitary(2, rng)
+            su = u / np.sqrt(np.linalg.det(u))  # the cost ignores the global phase
+            # su = q0 I - i(q1 X + q2 Y + q3 Z)
+            q = np.array([np.trace(su).real] + [-np.trace(PAULI[a] @ su).imag for a in "XYZ"]) / 2
+            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
+            assert q @ s @ q == pytest.approx(t.evaluate(u), abs=1e-12)
+
+    def test_non_hermitian_h_raises(self):
+        rng = np.random.default_rng(16)
+        h, rho, v1, v2, part = random_instance(3, rng)
+        t = transfer_tensor(h + 1j * random_hermitian(part.d, rng), rho, v1, v2, part)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            variation_range_exact_m1(t)
+
+    def test_matches_procrustes_oracle(self):
+        # 240 instances: random A site, mixed rho, V1 and V2 each None or a program
+        rng = np.random.default_rng(17)
+        for trial in range(240):
+            n = 2 + trial % 4
+            part = BipartitePartition(n, (int(rng.integers(n)),))
+            h = random_hermitian(part.d, rng)
+            rho = random_density(part.d, rng)
+            ens = CircuitEnsemble("hardware_efficient", n, layers=2)
+            v1 = sample_circuit(ens, rng) if trial & 4 else None
+            v2 = sample_circuit(ens, rng) if trial & 8 else None
+            t = transfer_tensor(h, rho, v1, v2, part)
+            got, want = variation_range_exact_m1(t), procrustes_range_m1(t)
+            for a, b in ((got.delta, want.delta), (got.max_value, want.max_value),
+                         (got.min_value, want.min_value)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), trial
+            assert abs(t.evaluate(euler_zyz(*got.argmax.values)) - want.max_value) <= 1e-12, trial
+            assert abs(t.evaluate(euler_zyz(*got.argmin.values)) - want.min_value) <= 1e-12, trial
 
 
 class TestGrid:
@@ -344,6 +399,10 @@ class TestCouplingRank:
 
     def test_purely_local(self):
         assert coupling_rank(pauli_word_matrix("ZI"), BipartitePartition(2, (0,))) == (1, 0)
+
+    def test_three_qubit_subsystem_rejected(self):
+        with pytest.raises(DimensionError):
+            coupling_rank(np.eye(16), BipartitePartition(4, (0, 1, 2)))
 
     def test_identity_tight_bound_vanishes(self):
         part = BipartitePartition(3, (0,))
