@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,10 +32,7 @@ from .linalg import BipartitePartition, random_density, random_hermitian, spectr
 
 DEFAULT_LAYER_LIST = "5,20,50,80,95"
 
-CONFIG_FIELDS = (
-    "task", "n_min", "n_max", "m", "ensemble_config", "design_kind",
-    "layers", "layers_multiplier", "samples", "seed", "optimizer",
-)
+CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,19 +46,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="flat JSON file with config fields")
-    p.add_argument("--task", choices=("vqe", "qae", "qsl"))
+    p.add_argument("--task", choices=tuple(harness.TASK_IDS))
     p.add_argument("--n", type=int, dest="n_min", help="smallest qubit count")
     p.add_argument("--n-max", type=int, dest="n_max", help="largest qubit count (default: --n)")
     p.add_argument("--m", type=int, help="local-gate subsystem size (1 or 2)")
     p.add_argument("--ensemble-config", dest="ensemble_config",
-                   choices=("v1_design", "v2_design", "both"))
-    p.add_argument("--design-kind", dest="design_kind",
-                   choices=("two_design", "one_design", "identity"))
+                   choices=tuple(harness.ENSEMBLE_CONFIGS))
+    p.add_argument("--design-kind", dest="design_kind", choices=harness.DESIGN_KINDS)
     p.add_argument("--layers", type=int, help="fixed layer count (default: 10n)")
     p.add_argument("--layers-multiplier", type=int, dest="layers_multiplier")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--optimizer", choices=("exact", "adam", "grid"))
+    p.add_argument("--optimizer", choices=harness.OPTIMIZERS)
     p.add_argument("--out", metavar="FILE", help="CSV output path (default: stdout)")
 
 
@@ -153,10 +150,12 @@ def _cmd_validate_haar(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.n > harness.MAX_QUBITS:
+        raise ConfigError(f"n: must be at most {harness.MAX_QUBITS}, got {args.n}")
     if args.m not in (1, 2) or args.m >= args.n:
         raise ConfigError(f"m: must be 1 or 2 and smaller than n, got m={args.m}, n={args.n}")
     inst = harness.setup_task(args.task, args.n, args.m)
-    rep = bound_report(inst.h, inst.part, inst.w, qsl=(args.task == "qsl"))
+    rep = bound_report(args.task, args.n, args.m, inst.w)
     print(f"task = {args.task}, n = {args.n}, m = {args.m}, w = {inst.w:.12g}")
     print(f"bound_general = {rep.general:.12g}")
     print(f"bound_variance = {rep.variance:.12g}")
@@ -242,7 +241,7 @@ def cli_main(argv=None) -> int:
     p_haar.set_defaults(func=_cmd_validate_haar)
 
     p_bounds = sub.add_parser("bounds", help="print every bound for a task instance")
-    p_bounds.add_argument("--task", choices=("vqe", "qae", "qsl"), required=True)
+    p_bounds.add_argument("--task", choices=tuple(harness.TASK_IDS), required=True)
     p_bounds.add_argument("--n", type=int, required=True)
     p_bounds.add_argument("--m", type=int, default=1)
     p_bounds.set_defaults(func=_cmd_bounds)

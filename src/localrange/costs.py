@@ -24,8 +24,8 @@ class Observable:
     - 'diagonal': the real diagonal of H;
     - 'rank_one': a vector phi, with H = I - |phi><phi|.
 
-    ``np.asarray(observable)`` gives the dense matrix for oracles and the
-    dense bound paths; it refuses dimensions above ``linalg.MAX_DIM``.
+    ``np.asarray(observable)`` gives the dense matrix for test oracles; it
+    refuses dimensions above ``linalg.MAX_DIM``.
     """
 
     n: int

@@ -28,7 +28,6 @@ from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, max_ab
 
 IMAG_RESIDUE_ATOL = 1e-10
 DEGENERACY_RTOL = 1e-10
-COUPLING_CUTOFF = 1e-12
 GRID_DEFAULT_RESOLUTION = 64
 
 
@@ -390,49 +389,51 @@ def qsl_bound(n: int, m: int) -> float:
     return 2.0 ** (2 * m - n)
 
 
-def _a_words(m: int) -> tuple[np.ndarray, ...]:
-    if m == 1:
-        return tuple(PAULI[a] for a in "XYZ")
-    if m == 2:
-        return su4_generators()
-    raise DimensionError(f"Pauli words are tabulated for m = 1 or 2 only, got m={m}")
+# (N_A, N_AB) of each task's H across A = the first m qubits and the rest, B.
+# N_A is 1 when tr_B(H) is nonzero; N_AB counts the non-identity Pauli words
+# on A that pair with a traceless operator on B. vqe: the single-qubit words
+# of the A-B bonds, and at m = 2 the bond inside A; qae: R is the last qubit,
+# so H is I_A times an operator on B; qsl: every Z word on A couples to B in
+# |0...0><0...0|.
+COUPLING_RANKS = {
+    "vqe": {1: (0, 3), 2: (1, 6)},
+    "qae": {1: (1, 0), 2: (1, 0)},
+    "qsl": {1: (1, 1), 2: (1, 3)},
+}
+MARKOV_EPS = (0.1, 0.01)
 
 
-def coupling_rank(h, part: BipartitePartition) -> tuple[int, int]:
-    """(N_A, N_AB): presence of an A-local part and the interaction coupling rank.
+def coupling_ranks(task: str, m: int) -> tuple[int, int]:
+    """(N_A, N_AB) of the task's H for a gate on the first m qubits."""
+    try:
+        return COUPLING_RANKS[task][m]
+    except KeyError:
+        raise ValueError(f"no coupling ranks for task {task!r} at m={m}") from None
 
-    N_A is 1 when tr_B(H) is nonzero. N_AB counts non-identity Pauli words
-    sigma on A that pair with a nonzero B-operator in H with both marginals
-    removed. For traceless sigma that B-operator is tr_A((sigma x I_B) H) / d_A
-    with its trace part removed, since only the A marginal contributes to it.
+
+def tight_bound_formula(task: str, n: int, w: float, m: int) -> float:
+    """max{N_A + 2 N_AB, d_A sqrt(d/(d-1))} * ||H - tr(H) I/d||_inf * sqrt(d_A/d_B).
+
+    The norm is w - n for vqe (H is traceless, lambda_max is the bond count n
+    and -lambda_min >= n, so it is -lambda_min), 1/2 for qae (eigenvalues 0
+    and 1, equally many) and 1 - 2^-n for qsl (eigenvalue 0 once, 1 elsewhere).
     """
-    hm = as_matrix(h)
-    if hm.shape[0] != part.d:
-        raise DimensionError(f"H dim {hm.shape[0]} != 2^{part.n}")
-    d_a, d_b = part.d_A, part.d_B
-    scale = max(1.0, max_abs(hm))
-    # H as t[a, x, b, y] with the A qubits leading
-    t = to_a_first(hm, part, operator=True).reshape(d_a, d_b, d_a, d_b)
-    n_a = 1 if max_abs(np.einsum("axbx->ab", t)) > COUPLING_CUTOFF * scale else 0
-    n_ab = 0
-    for sigma in _a_words(part.m):
-        o = np.einsum("ab,bxay->xy", sigma, t) / d_a
-        o -= (np.trace(o) / d_b) * np.eye(d_b)
-        if max_abs(o) > COUPLING_CUTOFF * scale:
-            n_ab += 1
-    return n_a, n_ab
+    n_a, n_ab = coupling_ranks(task, m)
+    d, d_a = 2.0**n, 2.0**m
+    norm = {"vqe": w - n, "qae": 0.5, "qsl": 1.0 - 2.0**-n}[task]
+    factor = max(n_a + 2 * n_ab, d_a * np.sqrt(d / (d - 1)))
+    return float(factor * norm * np.sqrt(d_a / 2.0 ** (n - m)))
 
 
-def tight_bound(h, part: BipartitePartition) -> float:
-    """max{N_A + 2 N_AB, d_A sqrt(d/(d-1))} * ||H - tr(H) I/d||_inf * sqrt(d_A/d_B)."""
-    hm = as_matrix(h)
-    n_a, n_ab = coupling_rank(hm, part)
-    d = part.d
-    # H is Hermitian, so the norm is the largest |eigenvalue - tr(H)/d|
-    ev = np.linalg.eigvalsh((hm + hm.conj().T) / 2)
-    norm = float(np.abs(ev - np.trace(hm).real / d).max())
-    factor = max(n_a + 2 * n_ab, part.d_A * np.sqrt(d / (d - 1)))
-    return float(factor * norm * np.sqrt(part.d_A / part.d_B))
+def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
+    """The tight bound of every CSV row: ``tight_bound_formula``, except for m = 1
+    vqe and qae, which keep the published constants 24 w 2^{-n/2} and
+    (8/sqrt 3) 2^{-n/2}, about 3.1x and 2.3x above the formula."""
+    if m == 1 and task == "vqe":
+        return 24.0 * w * 2.0 ** (-n / 2)
+    if m == 1 and task == "qae":
+        return (8.0 / np.sqrt(3.0)) * 2.0 ** (-n / 2)
+    return tight_bound_formula(task, n, w, m)
 
 
 @dataclass(frozen=True)
@@ -446,48 +447,18 @@ class BoundReport:
     markov: dict[float, float] = field(default_factory=dict)
 
 
-def bound_report(h, part: BipartitePartition, w: float, qsl: bool = False,
-                 eps_list=(0.1, 0.01)) -> BoundReport:
-    n_a, n_ab = coupling_rank(h, part)
-    n, m = part.n, part.m
+def bound_report(task: str, n: int, m: int, w: float) -> BoundReport:
+    """Every bound for the task on n qubits with the gate on the first m, in closed form."""
+    n_a, n_ab = coupling_ranks(task, m)
     return BoundReport(
         general=theorem1_bound(w, n, m),
         variance=variance_bound(w, n, m),
-        tight=tight_bound(h, part),
-        qsl=qsl_bound(n, m) if qsl else None,
+        tight=tight_bound_formula(task, n, w, m),
+        qsl=qsl_bound(n, m) if task == "qsl" else None,
         n_a=n_a,
         n_ab=n_ab,
-        markov={float(e): markov_tail(w, n, m, float(e)) for e in eps_list},
+        markov={eps: markov_tail(w, n, m, eps) for eps in MARKOV_EPS},
     )
-
-
-def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
-    """Per-task tight bounds in closed form, A being the first m qubits.
-
-    For m = 1, vqe and qae use the published constants 24 w 2^{-n/2} and
-    (8/sqrt 3) 2^{-n/2}. Every other value is ``tight_bound`` evaluated by hand,
-    with d = 2^n and d_A = 2^m:
-
-    - vqe, m = 2: the periodic chain has N_A + 2 N_AB = 13 and
-      ||H - tr(H) I/d||_inf = -lambda_min = w - n, since lambda_max is the
-      bond count n; so 13 (w - n) sqrt(d_A/d_B).
-    - qae, m = 2: R is the last qubit, so N_A + 2 N_AB = 1 and the norm is 1/2;
-      so d_A sqrt(d/(d-1)) (1/2) sqrt(d_A/d_B).
-    - qsl against |0...0>: N_A + 2 N_AB = 2^(m+1) - 1 (every Z word on A
-      couples to B) and the norm is 1 - 1/d; so
-      max(2^(m+1) - 1, d_A sqrt(d/(d-1))) (1 - 2^-n) sqrt(d_A/d_B).
-    """
-    d, d_a = 2.0**n, 2.0**m
-    dims = np.sqrt(d_a / 2.0 ** (n - m))
-    haar_factor = d_a * np.sqrt(d / (d - 1))
-    if task == "qsl":
-        factor = max(2.0 ** (m + 1) - 1, haar_factor)
-        return float(factor * (1.0 - 1.0 / d) * dims)
-    if task not in ("vqe", "qae") or m not in (1, 2):
-        raise ValueError(f"no closed-form tight bound for task {task!r} at m={m}")
-    if m == 1:
-        return 24.0 * w * 2.0 ** (-n / 2) if task == "vqe" else (8.0 / np.sqrt(3.0)) * 2.0 ** (-n / 2)
-    return float((13.0 * (w - n) if task == "vqe" else 0.5 * haar_factor) * dims)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest dimension of a dense operator: it guards the dense paths (the dense
-# form of an observable, the `bounds` subcommand and the test oracles), not the
-# statevector harness, whose n cap is set by ExperimentConfig. `bounds` at 2^12
-# peaks near 1 GiB; at 2^14 each dense complex matrix alone is 4 GiB.
+# Largest dimension of a dense operator: it guards the dense form of an
+# observable and the test oracles, not the statevector harness or `bounds`,
+# whose n cap is harness.MAX_QUBITS. At 2^14 one dense complex matrix alone
+# is 4 GiB.
 MAX_DIM = 2**12
 
 PAULI = {

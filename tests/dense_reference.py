@@ -6,12 +6,20 @@ a trace of matrix products, and the contraction is one einsum over the
 conjugated observable and state. They cost O(L n 4^n) and O(d^2 d_A^2) and
 serve only as test oracles at small n. The single-qubit range also has a
 second closed form here, a constrained orthogonal Procrustes problem on the
-Bloch-sphere rotation, as the oracle for the quaternion solver.
+Bloch-sphere rotation, as the oracle for the quaternion solver. The coupling
+ranks and the tight bound are computed from the dense H, as the oracle for
+their closed forms.
 """
 
 import numpy as np
 
-from localrange.circuits import LocalUnitaryParams, apply_single_qubit, euler_zyz, rotation
+from localrange.circuits import (
+    LocalUnitaryParams,
+    apply_single_qubit,
+    euler_zyz,
+    rotation,
+    su4_generators,
+)
 from localrange.costs import qae_hamiltonian
 from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, VariationResult
 from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, max_abs, to_a_first
@@ -211,3 +219,51 @@ def procrustes_range_m1(t):
         converged=True,
         degenerate=degenerate,
     )
+
+
+COUPLING_CUTOFF = 1e-12
+
+
+def _a_words(m):
+    if m == 1:
+        return tuple(PAULI[a] for a in "XYZ")
+    if m == 2:
+        return su4_generators()
+    raise DimensionError(f"Pauli words are tabulated for m = 1 or 2 only, got m={m}")
+
+
+def coupling_rank(h, part):
+    """(N_A, N_AB): presence of an A-local part and the interaction coupling rank.
+
+    N_A is 1 when tr_B(H) is nonzero. N_AB counts non-identity Pauli words
+    sigma on A that pair with a nonzero B-operator in H with both marginals
+    removed. For traceless sigma that B-operator is tr_A((sigma x I_B) H) / d_A
+    with its trace part removed, since only the A marginal contributes to it.
+    """
+    hm = as_matrix(h)
+    if hm.shape[0] != part.d:
+        raise DimensionError(f"H dim {hm.shape[0]} != 2^{part.n}")
+    d_a, d_b = part.d_A, part.d_B
+    scale = max(1.0, max_abs(hm))
+    # H as t[a, x, b, y] with the A qubits leading
+    t = to_a_first(hm, part, operator=True).reshape(d_a, d_b, d_a, d_b)
+    n_a = 1 if max_abs(np.einsum("axbx->ab", t)) > COUPLING_CUTOFF * scale else 0
+    n_ab = 0
+    for sigma in _a_words(part.m):
+        o = np.einsum("ab,bxay->xy", sigma, t) / d_a
+        o -= (np.trace(o) / d_b) * np.eye(d_b)
+        if max_abs(o) > COUPLING_CUTOFF * scale:
+            n_ab += 1
+    return n_a, n_ab
+
+
+def tight_bound(h, part):
+    """max{N_A + 2 N_AB, d_A sqrt(d/(d-1))} * ||H - tr(H) I/d||_inf * sqrt(d_A/d_B)."""
+    hm = as_matrix(h)
+    n_a, n_ab = coupling_rank(hm, part)
+    d = part.d
+    # H is Hermitian, so the norm is the largest |eigenvalue - tr(H)/d|
+    ev = np.linalg.eigvalsh((hm + hm.conj().T) / 2)
+    norm = float(np.abs(ev - np.trace(hm).real / d).max())
+    factor = max(n_a + 2 * n_ab, part.d_A * np.sqrt(d / (d - 1)))
+    return float(factor * norm * np.sqrt(part.d_A / part.d_B))

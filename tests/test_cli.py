@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
+from dense_reference import coupling_rank, tight_bound
 from localrange import harness
 from localrange.cli import cli_main
+from localrange.costs import Observable
 
 
 def run_cli(capsys, *argv):
@@ -29,11 +32,17 @@ def test_bounds_vqe_reports_ranks(capsys):
 
 
 def test_bounds_m2_closed_form_matches_dense(capsys):
-    for task in ("vqe", "qae"):
-        code, out, _ = run_cli(capsys, "bounds", "--task", task, "--n", "7", "--m", "2")
-        assert code == 0
-        values = dict(line.split(" = ") for line in out.splitlines()[1:])
-        assert values["bound_tight_published"] == values["bound_tight"]
+    for task in ("vqe", "qae", "qsl"):
+        for m in (1, 2):
+            code, out, _ = run_cli(capsys, "bounds", "--task", task, "--n", "7", "--m", str(m))
+            assert code == 0
+            values = dict(line.split(" = ") for line in out.splitlines()[1:])
+            inst = harness.setup_task(task, 7, m)
+            n_a, n_ab = coupling_rank(inst.h, inst.part)
+            assert values["bound_tight"] == f"{tight_bound(inst.h, inst.part):.12g}"
+            assert (values["N_A"], values["N_AB"]) == (f"{n_a}", f"{n_ab}")
+            if m == 2 and task != "qsl":
+                assert values["bound_tight_published"] == values["bound_tight"]
 
 
 @pytest.mark.parametrize("m", [0, 3])
@@ -44,11 +53,32 @@ def test_bounds_rejects_unsupported_m(capsys, m):
     assert out == ""
 
 
-def test_bounds_refuses_dense_h_above_cap(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--task", "vqe", "--n", "13")
+def test_bounds_runs_matrix_free_at_the_qubit_cap(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds formed a dense observable")
+
+    monkeypatch.setattr(Observable, "__array__", refuse)
+    n = str(harness.MAX_QUBITS)
+    tracemalloc.start()
+    try:
+        for task in ("vqe", "qae", "qsl"):
+            for m in ("1", "2"):
+                code, out, err = run_cli(capsys, "bounds", "--task", task, "--n", n, "--m", m)
+                assert code == 0, err
+                assert "bound_tight = " in out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_bounds_rejects_n_above_cap(capsys, n):
+    code, out, err = run_cli(capsys, "bounds", "--task", "qsl", "--n", str(n))
     assert code == 1
-    assert "dense observable dimension 2^13 exceeds max 4096" in err
+    assert err.startswith("localrange: error: n:")
     assert "Traceback" not in err
+    assert out == ""
 
 
 def test_missing_task_exits_one(capsys):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     assemble,
+    coupling_rank,
     generic_cost,
     pauli_word_matrix,
     procrustes_range_m1,
+    tight_bound,
     transfer_tensor_dense,
 )
-from localrange import landscape
+from localrange import harness, landscape
 from localrange.circuits import (
     CircuitEnsemble,
     GateProgram,
@@ -28,7 +30,7 @@ from localrange.landscape import (
     AdamConfig,
     BoundViolation,
     ParameterizedCircuit,
-    coupling_rank,
+    coupling_ranks,
     delta_mu,
     expectation,
     markov_tail,
@@ -38,7 +40,7 @@ from localrange.landscape import (
     task_tight_bound,
     telescoping_bound_check,
     theorem1_bound,
-    tight_bound,
+    tight_bound_formula,
     transfer_tensor,
     variance_bound,
     variation_range_adam,
@@ -387,6 +389,16 @@ class TestBounds:
             theorem1_bound(-1.0, 4, 1)
 
 
+def _assert_closed_form_equals_dense(task, n, m):
+    """The (N_A, N_AB) table and the tight-bound formula against the dense oracle."""
+    inst = harness.setup_task(task, n, m)
+    assert coupling_ranks(task, m) == coupling_rank(inst.h, inst.part)
+    dense = tight_bound(inst.h, inst.part)
+    assert tight_bound_formula(task, n, inst.w, m) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    if m == 2 or task == "qsl":
+        assert task_tight_bound(task, n, inst.w, m) == tight_bound_formula(task, n, inst.w, m)
+
+
 class TestCouplingRank:
     def test_heisenberg(self):
         for n in (4, 6):
@@ -416,23 +428,20 @@ class TestCouplingRank:
             hq = qae_hamiltonian(n, (n - 1,))
             assert tight_bound(hq, part) <= task_tight_bound("qae", n, 1.0) + 1e-9
 
-    @pytest.mark.parametrize("n", range(3, 11))
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_qsl_closed_form_equals_dense(self, n, m):
-        e0 = np.zeros(2**n)
-        e0[0] = 1.0
-        part = BipartitePartition(n, tuple(range(m)))
-        dense = tight_bound(qsl_hamiltonian(e0), part)
-        assert task_tight_bound("qsl", n, 1.0, m) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    # Together these cover every task and m at n = m+1..10.
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2) for n in range(m + 1, 11)])
+    def test_qsl_closed_form_equals_dense(self, m, n):
+        _assert_closed_form_equals_dense("qsl", n, m)
 
     @pytest.mark.parametrize("n", range(3, 11))
     @pytest.mark.parametrize("task", ["vqe", "qae"])
     def test_m2_closed_form_equals_dense(self, task, n):
-        part = BipartitePartition(n, (0, 1))
-        h = heisenberg(n) if task == "vqe" else qae_hamiltonian(n, (n - 1,))
-        dense = tight_bound(h, part)
-        closed = task_tight_bound(task, n, spectral_width(h), 2)
-        assert closed == pytest.approx(dense, rel=1e-12, abs=0.0)
+        _assert_closed_form_equals_dense(task, n, 2)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("task", ["vqe", "qae"])
+    def test_m1_closed_form_equals_dense(self, task, n):
+        _assert_closed_form_equals_dense(task, n, 1)
 
     def test_qsl_closed_form_m1(self):
         for n in (4, 14, 16):
@@ -442,8 +451,9 @@ class TestCouplingRank:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             task_tight_bound("qft", 4, 1.0)
-        with pytest.raises(ValueError):
-            task_tight_bound("qae", 6, 1.0, m=3)
+        for task in ("vqe", "qae", "qsl"):
+            with pytest.raises(ValueError):
+                task_tight_bound(task, 6, 1.0, m=3)
 
 
 def _ry_z_circuit():
