@@ -1,9 +1,12 @@
 """Parameterized gates, the layered hardware-efficient ansatz, and gate programs.
 
 Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
-``GateProgram``: an ordered gate list applied to a block of state vectors at
-O(2^n) per gate and column, so no 2^n x 2^n matrix is formed. Its dense
-unitary is available through ``np.asarray`` for small-n checks.
+``GateProgram``: an ordered gate list applied to a block of state vectors, so
+no 2^n x 2^n matrix is formed. The rotations between two runs of CZ gates are
+fused: they act as ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
+matmul at O(2^n 2^b) per column for a b-qubit block, and a CZ run is one
+diagonal at O(2^n). Its dense unitary is available through ``np.asarray`` for
+small-n checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class GateSpec:
     """One gate: a single-qubit rotation or a CZ between two qubits.
 
     ``angle=None`` marks a free parameter (filled in by a parameterized
-    circuit); CZ has no angle.
+    circuit). CZ has a control distinct from its target and no angle; a
+    rotation has no control.
     """
 
     kind: str
@@ -38,8 +42,15 @@ class GateSpec:
             object.__setattr__(self, "kind", self.kind.lower())
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cz" and self.control is None:
-            raise ValueError("cz gate needs a control qubit")
+        if self.kind == "cz":
+            if self.control is None:
+                raise ValueError("cz gate needs a control qubit")
+            if self.control == self.target:
+                raise ValueError(f"cz gate needs two qubits, got control = target = {self.target}")
+            if self.angle is not None:
+                raise ValueError("cz gate takes no angle")
+        elif self.control is not None:
+            raise ValueError(f"{self.kind} gate takes no control qubit")
 
 
 @dataclass(frozen=True)
@@ -107,21 +118,35 @@ def _rotation_matrices(gates: list[GateSpec]) -> np.ndarray:
     return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * p
 
 
-def apply_single_qubit(states: np.ndarray, gate2: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Left-multiply a single-qubit gate on qubit q into a (2^n, ...) array.
+# Qubits per fused block: a run of rotations acts as one 2^b x 2^b matrix per
+# block of at most this many contiguous qubits. At 5 a block matrix is 32 x 32,
+# cheap to build per segment and large enough that a layer of n rotations costs
+# ceil(n / 5) matmuls instead of n small products.
+FUSION_BLOCK_QUBITS = 5
+# Segments whose block matrices are built together; bounds their memory.
+_FUSION_CHUNK = 16
 
-    The array is a state vector, a block of column states, or a dense matrix.
+
+def _qubit_blocks(n: int) -> list[tuple[int, int]]:
+    """Qubits 0..n-1 as balanced contiguous [q0, q1) blocks of at most
+    FUSION_BLOCK_QUBITS qubits."""
+    count = -(-n // FUSION_BLOCK_QUBITS)
+    edges = [n * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _kron_qubits(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product over axis 1 of (S, b, 2, 2) factors, the first qubit most
+    significant: shape (S, 2^b, 2^b).
+
+    Built from the last qubit up, so that each outer product runs its innermost
+    loop over the grown matrix rather than over a 2 x 2 factor.
     """
-    if states.shape[0] != 2**n:
-        raise DimensionError(f"state dim {states.shape[0]} != 2^{n}")
-    view = states.reshape(2**q, 2, -1)
-    if view.shape[0] <= view.shape[2]:
-        # few, wide blocks: one batched matrix product
-        return np.matmul(gate2, view).reshape(states.shape)
-    # many narrow blocks, where matmul loops over the batch:
-    # out[:, a] = gate2[a, 0] view[:, 0] + gate2[a, 1] view[:, 1], broadcast over a
-    out = gate2[:, :1] * view[:, :1] + gate2[:, 1:] * view[:, 1:]
-    return out.reshape(states.shape)
+    out = factors[:, -1]
+    for j in range(factors.shape[1] - 2, -1, -1):
+        dim = 2 * out.shape[1]
+        out = (factors[:, j, :, None, :, None] * out[:, None, :, None, :]).reshape(-1, dim, dim)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -157,33 +182,62 @@ class GateProgram:
             if g.kind != "cz" and g.angle is None:
                 raise ValueError("rotation gate has no angle bound")
 
-    def _steps(self) -> list[tuple[int | None, np.ndarray]]:
-        """(qubit, 2x2 matrix) per rotation and (None, diagonal) per run of CZ gates."""
-        mats = iter(_rotation_matrices([g for g in self.gates if g.kind != "cz"]))
-        steps, pairs = [], []
+    def _segments(self) -> tuple[np.ndarray, list[tuple[tuple[int, int], ...]]]:
+        """The gate list cut after each run of CZ gates, in one pass.
+
+        Within a segment the rotations on different qubits commute, so the
+        segment is one tensor product of per-qubit factors followed by its CZ
+        run. Returns (factors, cz_runs): factors[s, q] is the ordered product of
+        segment s's rotations on qubit q (the identity if none), shape
+        (segments, n, 2, 2), and cz_runs[s] the CZ pairs that end segment s,
+        empty for a last segment that has none.
+        """
+        rots, where, cz_runs, pairs, count = [], [], [], [], {}
         for g in self.gates:
             if g.kind == "cz":
                 pairs.append((g.control, g.target))
                 continue
             if pairs:
-                steps.append((None, _cz_signs(self.n, tuple(pairs))))
-                pairs = []
-            steps.append((g.target, next(mats)))
-        if pairs:
-            steps.append((None, _cz_signs(self.n, tuple(pairs))))
-        return steps
+                cz_runs.append(tuple(pairs))
+                pairs, count = [], {}
+            rank = count.get(g.target, 0)
+            count[g.target] = rank + 1
+            rots.append(g)
+            where.append((len(cz_runs), g.target, rank))
+        if self.gates:
+            cz_runs.append(tuple(pairs))
+        factors = np.zeros((len(cz_runs), self.n, 2, 2), dtype=complex)
+        factors[:, :, 0, 0] = factors[:, :, 1, 1] = 1.0
+        if rots:
+            mats = _rotation_matrices(rots)
+            seg, qubit, rank = np.array(where).T
+            # the k-th rotation on each (segment, qubit), for all of them at once
+            for k in range(rank.max() + 1):
+                at = rank == k
+                s, q = seg[at], qubit[at]
+                factors[s, q] = mats[at] if k == 0 else mats[at] @ factors[s, q]
+        return factors, cz_runs
 
     def apply(self, states) -> np.ndarray:
-        """U applied to a (2^n,) vector or to each column of a (2^n, k) block."""
+        """U applied to a (2^n,) vector or to each column of a (2^n, k) block.
+
+        Each segment (see ``_segments``) acts as one 2^b x 2^b matmul per block
+        of b qubits (``_qubit_blocks``), then its CZ run as one diagonal.
+        """
         out = np.array(states, dtype=complex)
         if out.shape[0] != 2**self.n:
             raise DimensionError(f"state dim {out.shape[0]} != 2^{self.n}")
-        column = (-1,) + (1,) * (out.ndim - 1)
-        for q, op in self._steps():
-            if q is None:
-                out = out * op.reshape(column)
-            else:
-                out = apply_single_qubit(out, op, q, self.n)
+        shape, column = out.shape, (-1,) + (1,) * (out.ndim - 1)
+        factors, cz_runs = self._segments()
+        blocks = _qubit_blocks(self.n)
+        for start in range(0, len(cz_runs), _FUSION_CHUNK):
+            chunk = slice(start, start + _FUSION_CHUNK)
+            krons = [_kron_qubits(factors[chunk, q0:q1]) for q0, q1 in blocks]
+            for s, pairs in enumerate(cz_runs[chunk]):
+                for (q0, q1), kron in zip(blocks, krons):
+                    out = np.matmul(kron[s], out.reshape(2**q0, 2 ** (q1 - q0), -1)).reshape(shape)
+                if pairs:
+                    out *= _cz_signs(self.n, pairs).reshape(column)
         return out
 
     def __array__(self, dtype=None, copy=None):

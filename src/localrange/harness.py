@@ -37,7 +37,8 @@ ENSEMBLE_CONFIGS = {"v1_design": 0, "v2_design": 1, "both": 2}
 DESIGN_KINDS = ("two_design", "one_design", "identity")
 OPTIMIZERS = ("exact", "adam", "grid")
 
-# A sample holds O(d_A^2 2^n) amplitudes; n = 16 takes seconds per deep sample.
+# A sample holds O(d_A^2 2^n) amplitudes; at n = 16 a 10n-layer vqe sample
+# spends about 2 s in the transfer contraction.
 MAX_QUBITS = 16
 
 CSV_HEADER = (
@@ -180,9 +181,11 @@ def _sample_delta(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, la
 def _worker_count() -> int | None:
     """Sample threads: BARREN_THREADS, 1 when unset, Python's default when <= 0.
 
-    One worker is the default because a sample's statevector work runs mostly
-    in small numpy calls that hold the interpreter lock, so more threads add
-    memory without adding speed.
+    One worker is the default. A sample builds its gate programs in Python and
+    applies them as a few hundred fused block matmuls of at most 32 x 32, short
+    calls between which the interpreter lock is held, so more threads add memory
+    without adding speed: a vqe run at n = 9..11 took no less time on two
+    workers than on one, on two cores.
     """
     raw = os.environ.get("BARREN_THREADS")
     if raw is None:

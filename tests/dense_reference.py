@@ -8,14 +8,16 @@ serve only as test oracles at small n. The single-qubit range also has a
 second closed form here, a constrained orthogonal Procrustes problem on the
 Bloch-sphere rotation, as the oracle for the quaternion solver. The coupling
 ranks and the tight bound are computed from the dense H, as the oracle for
-their closed forms.
+their closed forms. ``apply_gatewise`` applies a gate program one gate at a
+time, as the oracle for its layer-fused ``apply``.
 """
 
 import numpy as np
 
 from localrange.circuits import (
     LocalUnitaryParams,
-    apply_single_qubit,
+    _cz_signs,
+    _rotation_matrices,
     euler_zyz,
     rotation,
     su4_generators,
@@ -120,6 +122,45 @@ def cz_chain_diag(n):
     for q in range(n - 1):
         diag *= cz_diag(n, q, q + 1)
     return diag
+
+
+def apply_single_qubit(states, gate2, q, n):
+    """Left-multiply a single-qubit gate on qubit q into a (2^n, ...) array.
+
+    The array is a state vector, a block of column states, or a dense matrix.
+    """
+    if states.shape[0] != 2**n:
+        raise DimensionError(f"state dim {states.shape[0]} != 2^{n}")
+    view = states.reshape(2**q, 2, -1)
+    if view.shape[0] <= view.shape[2]:
+        # few, wide blocks: one batched matrix product
+        return np.matmul(gate2, view).reshape(states.shape)
+    # many narrow blocks, where matmul loops over the batch:
+    # out[:, a] = gate2[a, 0] view[:, 0] + gate2[a, 1] view[:, 1], broadcast over a
+    out = gate2[:, :1] * view[:, :1] + gate2[:, 1:] * view[:, 1:]
+    return out.reshape(states.shape)
+
+
+def apply_gatewise(program, states):
+    """``program.apply`` one gate at a time: each rotation as a 2 x 2 matmul on its
+    qubit, each run of CZ gates as one diagonal."""
+    out = np.array(states, dtype=complex)
+    if out.shape[0] != 2**program.n:
+        raise DimensionError(f"state dim {out.shape[0]} != 2^{program.n}")
+    column = (-1,) + (1,) * (out.ndim - 1)
+    mats = iter(_rotation_matrices([g for g in program.gates if g.kind != "cz"]))
+    pairs = []
+    for g in program.gates:
+        if g.kind == "cz":
+            pairs.append((g.control, g.target))
+            continue
+        if pairs:
+            out = out * _cz_signs(program.n, tuple(pairs)).reshape(column)
+            pairs = []
+        out = apply_single_qubit(out, next(mats), g.target, program.n)
+    if pairs:
+        out = out * _cz_signs(program.n, tuple(pairs)).reshape(column)
+    return out
 
 
 def sample_circuit_dense(ensemble, rng):

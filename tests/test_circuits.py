@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import (
+    apply_gatewise,
+    apply_single_qubit,
     assemble,
     cz_diag,
     embed_local,
@@ -14,7 +18,7 @@ from localrange.circuits import (
     GateProgram,
     GateSpec,
     LocalUnitaryParams,
-    apply_single_qubit,
+    _qubit_blocks,
     euler_zyz,
     local_unitary,
     rotation,
@@ -39,6 +43,20 @@ class TestGateSpec:
     def test_cz_needs_control(self):
         with pytest.raises(ValueError):
             GateSpec("cz", 1)
+
+    def test_cz_needs_two_qubits(self):
+        # a CZ of a qubit with itself would act as Z on it
+        with pytest.raises(ValueError, match="two qubits"):
+            GateSpec("cz", 1, control=1)
+
+    def test_cz_takes_no_angle(self):
+        with pytest.raises(ValueError, match="no angle"):
+            GateSpec("cz", 1, control=0, angle=0.3)
+
+    def test_rotation_takes_no_control(self):
+        for kind in ("rx", "RY", "rz"):
+            with pytest.raises(ValueError, match="no control"):
+                GateSpec(kind, 1, control=0, angle=0.3)
 
 
 def test_rotation_convention():
@@ -109,6 +127,74 @@ def test_apply_single_qubit_matches_kron():
     for q, words in ((0, (g, np.eye(4))), (2, (np.eye(4), g))):
         expected = np.kron(words[0], words[1]) @ u
         assert np.allclose(apply_single_qubit(u, g, q, 3), expected)
+
+
+@st.composite
+def programs(draw, max_gates=40):
+    """Random gate programs on 1..11 qubits: rotations of every kind, repeated
+    rotations on one qubit, and CZ gates anywhere, including first and last."""
+    n = draw(st.integers(1, 11))
+    rotation_gate = st.builds(
+        GateSpec, st.sampled_from(["rx", "ry", "rz"]), st.integers(0, n - 1),
+        angle=st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    gate = rotation_gate
+    if n > 1:
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        gate = rotation_gate | pair.map(lambda p: GateSpec("cz", p[1], control=p[0]))
+    return GateProgram(n, draw(st.lists(gate, max_size=max_gates)))
+
+
+def random_states(n, columns, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2**n,) if columns is None else (2**n, columns)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def assert_matches_gatewise(program, x):
+    got = program.apply(x)
+    assert got.shape == x.shape
+    assert np.linalg.norm(got - apply_gatewise(program, x)) <= 1e-13 * np.linalg.norm(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs(), st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1))
+def test_fused_apply_matches_gatewise(program, columns, seed):
+    assert_matches_gatewise(program, random_states(program.n, columns, seed))
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 11])
+@pytest.mark.parametrize("layout", ["cz_first", "cz_last", "cz_only", "empty"])
+def test_fused_apply_edge_programs(n, layout):
+    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
+    rots = [GateSpec("rx", q, angle=0.3 + q) for q in range(n)] + [GateSpec("rz", 0, angle=1.7)]
+    gates = {"cz_first": chain + rots, "cz_last": rots + chain, "cz_only": chain + chain[:1],
+             "empty": []}[layout]
+    program = GateProgram(n, gates)
+    for columns in (None, 4):
+        assert_matches_gatewise(program, random_states(n, columns, seed=n))
+
+
+@pytest.mark.parametrize("n,blocks", [(1, 1), (5, 1), (6, 2), (11, 3), (16, 4)])
+def test_qubit_blocks_balanced(n, blocks):
+    edges = _qubit_blocks(n)
+    assert len(edges) == blocks
+    assert edges[0][0] == 0 and edges[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    sizes = [q1 - q0 for q0, q1 in edges]
+    assert max(sizes) <= 5 and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 11])
+@pytest.mark.parametrize("kind,layers", [
+    ("identity", None), ("one_design_layer", None), ("hardware_efficient", 40),
+])
+def test_fused_apply_matches_gatewise_on_ensembles(kind, layers, n):
+    # n = 5, 6 and 11 fuse each segment into 1, 2 and 3 blocks; 40 layers are
+    # 40 segments, whose blocks are built in three chunks
+    program = sample_circuit(CircuitEnsemble(kind, n, layers=layers), np.random.default_rng(n))
+    for columns in (None, 4):
+        assert_matches_gatewise(program, random_states(n, columns, seed=n + 1))
 
 
 class TestSampleCircuit:

@@ -222,13 +222,26 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
-        cfg_json = dict(task="vqe", n_min=2, n_max=3, samples=4, seed=9)
+        # n = 7 fuses each layer into two blocks, whose 2^b x 2^b matmuls may run
+        # on threaded BLAS; None removes the variable from the environment
+        cfg_json = dict(task="vqe", n_min=2, n_max=7, samples=4, seed=9)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg_json))
+        settings = [
+            {"BARREN_THREADS": "1"},
+            {"BARREN_THREADS": "4"},
+            {"BARREN_THREADS": None, "OPENBLAS_NUM_THREADS": None},
+            {"BARREN_THREADS": None, "OPENBLAS_NUM_THREADS": "1"},
+        ]
         outputs = []
-        for threads in ("1", "4"):
-            cfg_path = tmp_path / f"cfg{threads}.json"
-            out_path = tmp_path / f"out{threads}.csv"
-            cfg_path.write_text(json.dumps(cfg_json))
-            env = dict(os.environ, BARREN_THREADS=threads)
+        for k, setting in enumerate(settings):
+            out_path = tmp_path / f"out{k}.csv"
+            env = dict(os.environ)
+            for name, value in setting.items():
+                if value is None:
+                    env.pop(name, None)
+                else:
+                    env[name] = value
             res = subprocess.run(
                 [sys.executable, "-m", "localrange", "scaling",
                  "--config", str(cfg_path), "--out", str(out_path)],
@@ -236,7 +249,8 @@ class TestCsv:
             )
             assert res.returncode == 0, res.stderr
             outputs.append(out_path.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 6
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_experiment_row_is_plain_data():
