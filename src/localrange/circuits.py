@@ -1,12 +1,12 @@
 """Parameterized gates, the layered hardware-efficient ansatz, and gate programs.
 
 Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
-``GateProgram``: an ordered gate list applied to a block of state vectors, so
-no 2^n x 2^n matrix is formed. The rotations between two runs of CZ gates are
-fused: they act as ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
-matmul at O(2^n 2^b) per column for a b-qubit block, and a CZ run is one
-diagonal at O(2^n). Its dense unitary is available through ``np.asarray`` for
-small-n checks.
+``GateProgram``: its fused segments, each one 2 x 2 factor per qubit then a CZ
+run, drawn directly by ``sample_circuit``; a ``GateSpec`` list is an input
+format, parsed once by ``GateProgram.from_gates``. A segment acts on a block of
+state vectors as ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
+matmul at O(2^n 2^b) per column for a b-qubit block, and its CZ run as one
+diagonal at O(2^n). Only ``np.asarray`` (small-n checks) forms the 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import PAULI, DimensionError
+from .linalg import MAX_DIM, PAULI, DimensionError
 
 ROTATION_KINDS = ("rx", "ry", "rz")
 GATE_KINDS = ROTATION_KINDS + ("cz",)
@@ -57,7 +57,7 @@ class GateSpec:
 class CircuitEnsemble:
     """Recipe for sampling V1 or V2.
 
-    kind: 'identity' | 'one_design_layer' | 'hardware_efficient' | 'haar'.
+    kind: 'identity' | 'one_design_layer' | 'hardware_efficient'.
     ``layers`` applies to hardware_efficient only, which requires it.
     """
 
@@ -66,7 +66,7 @@ class CircuitEnsemble:
     layers: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "one_design_layer", "hardware_efficient", "haar"):
+        if self.kind not in ("identity", "one_design_layer", "hardware_efficient"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("need at least one qubit")
@@ -96,26 +96,23 @@ class LocalUnitaryParams:
         return 1 if len(self.values) == 3 else 2
 
 
+_PAULI_XYZ = np.stack([PAULI[a] for a in "XYZ"])
+
+
+def _rotation_matrices(axes, angles) -> np.ndarray:
+    """exp(-i theta P / 2), P = (X, Y, Z)[axis], over arrays of axes and angles."""
+    half = np.asarray(angles, dtype=float)[..., None, None] / 2
+    return np.cos(half) * PAULI["I"] - 1j * np.sin(half) * _PAULI_XYZ[axes]
+
+
 def rotation(axis: str, theta: float) -> np.ndarray:
     """exp(-i theta P / 2) for P in {X, Y, Z}."""
-    p = PAULI[axis.upper()]
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return c * PAULI["I"] - 1j * s * p
+    return _rotation_matrices("XYZ".index(axis.upper()), theta)
 
 
 def euler_zyz(phi: float, theta: float, alpha: float) -> np.ndarray:
     """Rz(phi) Ry(theta) Rz(alpha)."""
     return rotation("z", phi) @ rotation("y", theta) @ rotation("z", alpha)
-
-
-_PAULI_XYZ = np.stack([PAULI[a] for a in "XYZ"])
-
-
-def _rotation_matrices(gates: list[GateSpec]) -> np.ndarray:
-    """rotation(g.kind[1], g.angle) for every gate at once, shape (len(gates), 2, 2)."""
-    theta = np.array([g.angle for g in gates], dtype=float)[:, None, None]
-    p = _PAULI_XYZ[[ROTATION_KINDS.index(g.kind) for g in gates]]
-    return np.cos(theta / 2) * PAULI["I"] - 1j * np.sin(theta / 2) * p
 
 
 # Qubits per fused block: a run of rotations acts as one 2^b x 2^b matrix per
@@ -162,78 +159,89 @@ def _cz_signs(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateProgram:
-    """A circuit on n qubits as an ordered list of bound gates, first gate first.
+    """A circuit on n qubits as its fused segments, first segment first.
 
-    ``apply`` acts on state vectors; ``np.asarray(program)`` gives the dense
-    unitary, built by applying the program to the identity.
+    Segment s is the tensor product over qubits q of ``factors[s, q]`` (kept as
+    a read-only (segments, n, 2, 2) copy), then CZ on each pair in
+    ``cz_runs[s]``. ``from_gates`` parses a gate list into this form.
+    ``np.asarray(program)`` is the dense unitary, up to ``linalg.MAX_DIM``.
     """
 
     n: int
-    gates: tuple[GateSpec, ...] = ()
+    factors: np.ndarray
+    cz_runs: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for q in (g.target,) + (() if g.control is None else (g.control,)):
-                if not 0 <= q < self.n:
-                    raise ValueError(f"qubit {q} out of range for n={self.n}")
-            if g.kind != "cz" and g.angle is None:
-                raise ValueError("rotation gate has no angle bound")
+        factors = np.array(self.factors, dtype=complex)
+        cz_runs = tuple(map(tuple, self.cz_runs))
+        if factors.shape != (len(cz_runs), self.n, 2, 2):
+            raise ValueError(f"factors shape {factors.shape} != ({len(cz_runs)}, {self.n}, 2, 2)")
+        # each distinct pair once: a CZ chain shared by every segment is one run
+        for a, b in {pair for run in set(cz_runs) for pair in run}:
+            if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
+                raise ValueError(f"cz pair ({a}, {b}) needs two different qubits below n={self.n}")
+        factors.flags.writeable = False
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "cz_runs", cz_runs)
 
-    def _segments(self) -> tuple[np.ndarray, list[tuple[tuple[int, int], ...]]]:
-        """The gate list cut after each run of CZ gates, in one pass.
+    @classmethod
+    def from_gates(cls, n: int, gates) -> GateProgram:
+        """Parse an ordered gate list, first gate first, into its segments.
 
-        Within a segment the rotations on different qubits commute, so the
-        segment is one tensor product of per-qubit factors followed by its CZ
-        run. Returns (factors, cz_runs): factors[s, q] is the ordered product of
-        segment s's rotations on qubit q (the identity if none), shape
-        (segments, n, 2, 2), and cz_runs[s] the CZ pairs that end segment s,
-        empty for a last segment that has none.
+        The list is cut after each run of CZ gates. Within a segment the
+        rotations on different qubits commute, so factors[s, q] is the ordered
+        product of segment s's rotations on qubit q (the identity if none).
+        Every rotation needs a bound angle.
         """
-        rots, where, cz_runs, pairs, count = [], [], [], [], {}
-        for g in self.gates:
+        axes, angles, where, cz_runs, pairs, count = [], [], [], [], [], {}
+        gates = tuple(gates)
+        for g in gates:
             if g.kind == "cz":
                 pairs.append((g.control, g.target))
                 continue
+            if not 0 <= g.target < n:
+                raise ValueError(f"qubit {g.target} out of range for n={n}")
+            if g.angle is None:
+                raise ValueError("rotation gate has no angle bound")
             if pairs:
                 cz_runs.append(tuple(pairs))
                 pairs, count = [], {}
             rank = count.get(g.target, 0)
             count[g.target] = rank + 1
-            rots.append(g)
+            axes.append(ROTATION_KINDS.index(g.kind))
+            angles.append(g.angle)
             where.append((len(cz_runs), g.target, rank))
-        if self.gates:
+        if gates:
             cz_runs.append(tuple(pairs))
-        factors = np.zeros((len(cz_runs), self.n, 2, 2), dtype=complex)
+        factors = np.zeros((len(cz_runs), n, 2, 2), dtype=complex)
         factors[:, :, 0, 0] = factors[:, :, 1, 1] = 1.0
-        if rots:
-            mats = _rotation_matrices(rots)
+        if where:
+            mats = _rotation_matrices(axes, angles)
             seg, qubit, rank = np.array(where).T
             # the k-th rotation on each (segment, qubit), for all of them at once
             for k in range(rank.max() + 1):
                 at = rank == k
                 s, q = seg[at], qubit[at]
                 factors[s, q] = mats[at] if k == 0 else mats[at] @ factors[s, q]
-        return factors, cz_runs
+        return cls(n, factors, cz_runs)
 
     def apply(self, states) -> np.ndarray:
         """U applied to a (2^n,) vector or to each column of a (2^n, k) block.
 
-        Each segment (see ``_segments``) acts as one 2^b x 2^b matmul per block
-        of b qubits (``_qubit_blocks``), then its CZ run as one diagonal.
+        Each segment acts as one 2^b x 2^b matmul per block of b qubits
+        (``_qubit_blocks``), then its CZ run as one diagonal.
         """
         out = np.array(states, dtype=complex)
         if out.shape[0] != 2**self.n:
             raise DimensionError(f"state dim {out.shape[0]} != 2^{self.n}")
         shape, column = out.shape, (-1,) + (1,) * (out.ndim - 1)
-        factors, cz_runs = self._segments()
         blocks = _qubit_blocks(self.n)
-        for start in range(0, len(cz_runs), _FUSION_CHUNK):
+        for start in range(0, len(self.cz_runs), _FUSION_CHUNK):
             chunk = slice(start, start + _FUSION_CHUNK)
-            krons = [_kron_qubits(factors[chunk, q0:q1]) for q0, q1 in blocks]
-            for s, pairs in enumerate(cz_runs[chunk]):
+            krons = [_kron_qubits(self.factors[chunk, q0:q1]) for q0, q1 in blocks]
+            for s, pairs in enumerate(self.cz_runs[chunk]):
                 for (q0, q1), kron in zip(blocks, krons):
                     out = np.matmul(kron[s], out.reshape(2**q0, 2 ** (q1 - q0), -1)).reshape(shape)
                 if pairs:
@@ -241,42 +249,32 @@ class GateProgram:
         return out
 
     def __array__(self, dtype=None, copy=None):
+        if 2**self.n > MAX_DIM:
+            raise DimensionError(f"dense program dimension 2^{self.n} exceeds max {MAX_DIM}")
         u = self.apply(np.eye(2**self.n, dtype=complex))
         return u if dtype is None else u.astype(dtype, copy=False)
 
 
-def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram | np.ndarray:
-    """Draw one circuit from the ensemble.
-
-    Every kind but ``haar`` gives a GateProgram; a Haar unitary has no gate
-    form and comes back as a dense matrix.
-    """
+def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram:
+    """Draw one circuit from the ensemble, straight into its segments."""
     n = ensemble.n
     if ensemble.kind == "identity":
-        return GateProgram(n)
-    if ensemble.kind == "haar":
-        from .haar import haar_random_unitary
-
-        return haar_random_unitary(2**n, rng)
+        return GateProgram.from_gates(n, ())
     if ensemble.kind == "one_design_layer":
-        gates = []
-        # euler_zyz(phi, theta, alpha) = Rz(phi) Ry(theta) Rz(alpha) on each qubit
-        for q in range(n):
-            phi, theta, alpha = rng.uniform(0.0, 2 * np.pi, size=3)
-            gates += [GateSpec("rz", q, angle=alpha), GateSpec("ry", q, angle=theta),
-                      GateSpec("rz", q, angle=phi)]
-        return GateProgram(n, gates)
+        # a row (phi, theta, alpha) per qubit, axes (z, y, z): Rz(phi) (Ry(theta) Rz(alpha))
+        m = _rotation_matrices([2, 1, 2], rng.uniform(0.0, 2 * np.pi, size=(n, 3)))
+        return GateProgram(n, [m[:, 0] @ (m[:, 1] @ m[:, 2])], ((),))
     # hardware_efficient: Ry(pi/4) on every qubit, then `layers` random layers of
-    # uniform-axis rotations plus the nearest-neighbor CZ chain.
-    gates = [GateSpec("ry", q, angle=np.pi / 4) for q in range(n)]
-    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
-    for _ in range(ensemble.layers):
-        axes = rng.integers(0, 3, size=n)
-        angles = rng.uniform(0.0, 2 * np.pi, size=n)
-        gates += [GateSpec(ROTATION_KINDS[a], q, angle=t)
-                  for q, (a, t) in enumerate(zip(axes.tolist(), angles.tolist()))]
-        gates += chain
-    return GateProgram(n, gates)
+    # uniform-axis rotations, each ended by the nearest-neighbor CZ chain.
+    wall = rotation("y", np.pi / 4)
+    if ensemble.layers == 0:
+        return GateProgram(n, np.broadcast_to(wall, (1, n, 2, 2)), ((),))
+    draws = [(rng.integers(0, 3, size=n), rng.uniform(0.0, 2 * np.pi, size=n))
+             for _ in range(ensemble.layers)]
+    factors = _rotation_matrices(*map(np.array, zip(*draws)))  # (axes, angles), each (layers, n)
+    factors[0] = factors[0] @ wall
+    chain = tuple((q, q + 1) for q in range(n - 1))
+    return GateProgram(n, factors, (chain,) * ensemble.layers)
 
 
 @lru_cache(maxsize=1)

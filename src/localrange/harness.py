@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"design_kind: expected one of {DESIGN_KINDS}, got {self.design_kind!r}")
         if self.layers is not None and self.layers < 0:
             raise ConfigError(f"layers: must be a nonnegative integer, got {self.layers!r}")
+        if self.layers is not None and self.design_kind != "two_design":
+            raise ConfigError(f"layers: applies to two_design only, got design_kind={self.design_kind!r}")
         if self.layers_multiplier < 0:
             raise ConfigError(f"layers_multiplier: must be nonnegative, got {self.layers_multiplier}")
         if self.samples < 2:
@@ -181,11 +183,11 @@ def _sample_delta(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, la
 def _worker_count() -> int | None:
     """Sample threads: BARREN_THREADS, 1 when unset, Python's default when <= 0.
 
-    One worker is the default. A sample builds its gate programs in Python and
-    applies them as a few hundred fused block matmuls of at most 32 x 32, short
-    calls between which the interpreter lock is held, so more threads add memory
-    without adding speed: a vqe run at n = 9..11 took no less time on two
-    workers than on one, on two cores.
+    One worker is the default. A sample draws its circuits' factors in a few
+    numpy calls and applies them as a few hundred fused block matmuls of at most
+    32 x 32, short calls between which the interpreter lock is held, so more
+    threads add memory without adding speed: a vqe run at n = 9..11 took no
+    less time on two workers than on one, on two cores.
     """
     raw = os.environ.get("BARREN_THREADS")
     if raw is None:

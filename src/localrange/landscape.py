@@ -496,7 +496,7 @@ class ParameterizedCircuit:
 
     def cost(self, h, rho, theta) -> float:
         """C(theta) = tr(H U(theta) rho U(theta)+), on state vectors."""
-        return expectation(h, rho, GateProgram(self.n, self.bind(theta)))
+        return expectation(h, rho, GateProgram.from_gates(self.n, self.bind(theta)))
 
 
 def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> float:
@@ -517,8 +517,8 @@ def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int)
 
 def _split_at_gate(pc: ParameterizedCircuit, bound: list[GateSpec], gate_idx: int):
     """(V1, target qubit, V2): the programs before and after gate gate_idx."""
-    v1 = GateProgram(pc.n, bound[:gate_idx])
-    v2 = GateProgram(pc.n, bound[gate_idx + 1:])
+    v1 = GateProgram.from_gates(pc.n, bound[:gate_idx])
+    v2 = GateProgram.from_gates(pc.n, bound[gate_idx + 1:])
     return v1, bound[gate_idx].target, v2
 
 

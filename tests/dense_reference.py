@@ -8,13 +8,17 @@ serve only as test oracles at small n. The single-qubit range also has a
 second closed form here, a constrained orthogonal Procrustes problem on the
 Bloch-sphere rotation, as the oracle for the quaternion solver. The coupling
 ranks and the tight bound are computed from the dense H, as the oracle for
-their closed forms. ``apply_gatewise`` applies a gate program one gate at a
-time, as the oracle for its layer-fused ``apply``.
+their closed forms. ``apply_gatewise`` applies a gate list one gate at a
+time, as the oracle for the layer-fused ``GateProgram.apply``, and
+``sample_gates`` draws each circuit ensemble as a gate list, as the oracle for
+``sample_circuit``, which draws the fused factors directly.
 """
 
 import numpy as np
 
 from localrange.circuits import (
+    ROTATION_KINDS,
+    GateSpec,
     LocalUnitaryParams,
     _cz_signs,
     _rotation_matrices,
@@ -141,26 +145,54 @@ def apply_single_qubit(states, gate2, q, n):
     return out.reshape(states.shape)
 
 
-def apply_gatewise(program, states):
-    """``program.apply`` one gate at a time: each rotation as a 2 x 2 matmul on its
-    qubit, each run of CZ gates as one diagonal."""
+def apply_gatewise(n, gates, states):
+    """The gate list on n qubits applied one gate at a time: each rotation as a
+    2 x 2 matmul on its qubit, each run of CZ gates as one diagonal."""
     out = np.array(states, dtype=complex)
-    if out.shape[0] != 2**program.n:
-        raise DimensionError(f"state dim {out.shape[0]} != 2^{program.n}")
+    if out.shape[0] != 2**n:
+        raise DimensionError(f"state dim {out.shape[0]} != 2^{n}")
     column = (-1,) + (1,) * (out.ndim - 1)
-    mats = iter(_rotation_matrices([g for g in program.gates if g.kind != "cz"]))
+    rots = [g for g in gates if g.kind != "cz"]
+    mats = iter(_rotation_matrices([ROTATION_KINDS.index(g.kind) for g in rots],
+                                   [g.angle for g in rots]))
     pairs = []
-    for g in program.gates:
+    for g in gates:
         if g.kind == "cz":
             pairs.append((g.control, g.target))
             continue
         if pairs:
-            out = out * _cz_signs(program.n, tuple(pairs)).reshape(column)
+            out = out * _cz_signs(n, tuple(pairs)).reshape(column)
             pairs = []
-        out = apply_single_qubit(out, next(mats), g.target, program.n)
+        out = apply_single_qubit(out, next(mats), g.target, n)
     if pairs:
-        out = out * _cz_signs(program.n, tuple(pairs)).reshape(column)
+        out = out * _cz_signs(n, tuple(pairs)).reshape(column)
     return out
+
+
+def sample_gates(ensemble, rng):
+    """`sample_circuit` as an ordered gate list, drawing from rng in the same order."""
+    n = ensemble.n
+    if ensemble.kind == "identity":
+        return []
+    if ensemble.kind == "one_design_layer":
+        gates = []
+        # euler_zyz(phi, theta, alpha) = Rz(phi) Ry(theta) Rz(alpha) on each qubit
+        for q in range(n):
+            phi, theta, alpha = rng.uniform(0.0, 2 * np.pi, size=3)
+            gates += [GateSpec("rz", q, angle=alpha), GateSpec("ry", q, angle=theta),
+                      GateSpec("rz", q, angle=phi)]
+        return gates
+    # hardware_efficient: Ry(pi/4) on every qubit, then `layers` random layers of
+    # uniform-axis rotations plus the nearest-neighbor CZ chain.
+    gates = [GateSpec("ry", q, angle=np.pi / 4) for q in range(n)]
+    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
+    for _ in range(ensemble.layers):
+        axes = rng.integers(0, 3, size=n)
+        angles = rng.uniform(0.0, 2 * np.pi, size=n)
+        gates += [GateSpec(ROTATION_KINDS[a], q, angle=t)
+                  for q, (a, t) in enumerate(zip(axes.tolist(), angles.tolist()))]
+        gates += chain
+    return gates
 
 
 def sample_circuit_dense(ensemble, rng):
@@ -168,10 +200,6 @@ def sample_circuit_dense(ensemble, rng):
     n = ensemble.n
     if ensemble.kind == "identity":
         return np.eye(2**n, dtype=complex)
-    if ensemble.kind == "haar":
-        from localrange.haar import haar_random_unitary
-
-        return haar_random_unitary(2**n, rng)
     u = np.eye(1, dtype=complex)
     if ensemble.kind == "one_design_layer":
         for _ in range(n):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dense_reference import (
     kron,
     pauli_word_matrix,
     sample_circuit_dense,
+    sample_gates,
 )
 from localrange.circuits import (
     CircuitEnsemble,
@@ -27,7 +30,7 @@ from localrange.circuits import (
 )
 from localrange.haar import haar_random_unitary
 from localrange.landscape import _euler_grid
-from localrange.linalg import PAULI, BipartitePartition
+from localrange.linalg import PAULI, BipartitePartition, DimensionError
 
 
 def is_unitary(u):
@@ -88,25 +91,59 @@ def test_euler_zyz_covers_su2():
 def test_gate_matrix_cz():
     # symmetric in control/target
     for g in (GateSpec("cz", 1, control=0), GateSpec("cz", 0, control=1)):
-        assert np.allclose(np.asarray(GateProgram(2, (g,))), np.diag([1, 1, 1, -1]))
+        assert np.allclose(np.asarray(GateProgram.from_gates(2, (g,))), np.diag([1, 1, 1, -1]))
 
 
 def test_gate_matrix_rotation_placement():
     g = GateSpec("rz", 1, angle=np.pi)
     expected = kron(np.eye(2), rotation("z", np.pi))
-    assert np.allclose(np.asarray(GateProgram(2, (g,))), expected)
+    assert np.allclose(np.asarray(GateProgram.from_gates(2, (g,))), expected)
 
 
 def test_gate_matrix_errors():
     with pytest.raises(ValueError):
-        GateProgram(2, (GateSpec("rx", 5, angle=0.1),))
+        GateProgram.from_gates(2, (GateSpec("rx", 5, angle=0.1),))
     with pytest.raises(ValueError):
-        GateProgram(2, (GateSpec("rx", 0),))  # unbound angle
+        GateProgram.from_gates(2, (GateSpec("cz", 2, control=0),))
+    with pytest.raises(ValueError):
+        GateProgram.from_gates(2, (GateSpec("rx", 0),))  # unbound angle
+
+
+def test_program_input_checks():
+    eye = np.broadcast_to(np.eye(2), (1, 3, 2, 2))
+    for factors in (np.ones((1, 3, 2)), np.ones((2, 3, 2, 2)), np.ones((1, 2, 2, 2))):
+        with pytest.raises(ValueError, match="factors shape"):
+            GateProgram(3, factors, ((),))
+    for pair in ((0, 3), (-1, 1), (2, 2)):
+        with pytest.raises(ValueError, match="two different qubits"):
+            GateProgram(3, eye, (((0, 1), pair),))
+    source = np.array(eye)
+    program = GateProgram(3, source, (((0, 1), (1, 2)),))
+    source[0, 0] = 0  # the program keeps its own copy
+    assert np.array_equal(program.factors, eye)
+    assert not program.factors.flags.writeable
+    with pytest.raises(ValueError):
+        program.factors[0, 0] = 0
+
+
+def test_dense_form_refused_above_max_dim():
+    # 2^13 = 2 MAX_DIM: refused before the 1 GiB identity is allocated
+    program = sample_circuit(CircuitEnsemble("hardware_efficient", 13, layers=2),
+                             np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="exceeds max"):
+            np.asarray(program)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cz_matches_basis_loop():
     for control, target in ((0, 1), (1, 0), (0, 3), (3, 1), (2, 3)):
-        got = np.diag(np.asarray(GateProgram(4, (GateSpec("cz", target, control=control),))))
+        gate = GateSpec("cz", target, control=control)
+        got = np.diag(np.asarray(GateProgram.from_gates(4, (gate,))))
         assert np.array_equal(got, cz_diag(4, control, target))
 
 
@@ -117,7 +154,7 @@ def test_program_apply_on_columns():
     block = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
     assert np.allclose(prog.apply(block), np.asarray(prog) @ block, atol=1e-12)
     assert np.allclose(prog.apply(block[:, 0]), np.asarray(prog) @ block[:, 0], atol=1e-12)
-    assert np.array_equal(GateProgram(4).apply(block), block)
+    assert np.array_equal(GateProgram.from_gates(4, ()).apply(block), block)
 
 
 def test_apply_single_qubit_matches_kron():
@@ -131,8 +168,8 @@ def test_apply_single_qubit_matches_kron():
 
 @st.composite
 def programs(draw, max_gates=40):
-    """Random gate programs on 1..11 qubits: rotations of every kind, repeated
-    rotations on one qubit, and CZ gates anywhere, including first and last."""
+    """Random (n, gate list) pairs on 1..11 qubits: rotations of every kind,
+    repeated rotations on one qubit, and CZ gates anywhere, including first and last."""
     n = draw(st.integers(1, 11))
     rotation_gate = st.builds(
         GateSpec, st.sampled_from(["rx", "ry", "rz"]), st.integers(0, n - 1),
@@ -142,7 +179,7 @@ def programs(draw, max_gates=40):
     if n > 1:
         pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
         gate = rotation_gate | pair.map(lambda p: GateSpec("cz", p[1], control=p[0]))
-    return GateProgram(n, draw(st.lists(gate, max_size=max_gates)))
+    return n, draw(st.lists(gate, max_size=max_gates))
 
 
 def random_states(n, columns, seed):
@@ -151,16 +188,20 @@ def random_states(n, columns, seed):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def assert_matches_gatewise(program, x):
-    got = program.apply(x)
-    assert got.shape == x.shape
-    assert np.linalg.norm(got - apply_gatewise(program, x)) <= 1e-13 * np.linalg.norm(x)
+def assert_close(got, want, x):
+    assert got.shape == want.shape == x.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(x)
+
+
+def assert_matches_gatewise(n, gates, x):
+    assert_close(GateProgram.from_gates(n, gates).apply(x), apply_gatewise(n, gates, x), x)
 
 
 @settings(max_examples=80, deadline=None)
 @given(programs(), st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1))
 def test_fused_apply_matches_gatewise(program, columns, seed):
-    assert_matches_gatewise(program, random_states(program.n, columns, seed))
+    n, gates = program
+    assert_matches_gatewise(n, gates, random_states(n, columns, seed))
 
 
 @pytest.mark.parametrize("n", [2, 5, 6, 11])
@@ -170,9 +211,8 @@ def test_fused_apply_edge_programs(n, layout):
     rots = [GateSpec("rx", q, angle=0.3 + q) for q in range(n)] + [GateSpec("rz", 0, angle=1.7)]
     gates = {"cz_first": chain + rots, "cz_last": rots + chain, "cz_only": chain + chain[:1],
              "empty": []}[layout]
-    program = GateProgram(n, gates)
     for columns in (None, 4):
-        assert_matches_gatewise(program, random_states(n, columns, seed=n))
+        assert_matches_gatewise(n, gates, random_states(n, columns, seed=n))
 
 
 @pytest.mark.parametrize("n,blocks", [(1, 1), (5, 1), (6, 2), (11, 3), (16, 4)])
@@ -185,16 +225,34 @@ def test_qubit_blocks_balanced(n, blocks):
     assert max(sizes) <= 5 and max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.parametrize("n", [5, 6, 11])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
 @pytest.mark.parametrize("kind,layers", [
-    ("identity", None), ("one_design_layer", None), ("hardware_efficient", 40),
+    ("identity", None), ("one_design_layer", None), ("hardware_efficient", 0),
+    ("hardware_efficient", 1), ("hardware_efficient", 40),
 ])
 def test_fused_apply_matches_gatewise_on_ensembles(kind, layers, n):
+    # the sampled factors against the sampled gate list applied gate by gate:
     # n = 5, 6 and 11 fuse each segment into 1, 2 and 3 blocks; 40 layers are
-    # 40 segments, whose blocks are built in three chunks
-    program = sample_circuit(CircuitEnsemble(kind, n, layers=layers), np.random.default_rng(n))
+    # 40 segments, whose blocks are built in three chunks; n = 1 has no CZ chain
+    ens = CircuitEnsemble(kind, n, layers=layers)
+    rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+    program, gates = sample_circuit(ens, rng_a), sample_gates(ens, rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
     for columns in (None, 4):
-        assert_matches_gatewise(program, random_states(n, columns, seed=n + 1))
+        x = random_states(n, columns, seed=n + 1)
+        assert_close(program.apply(x), apply_gatewise(n, gates, x), x)
+
+
+@pytest.mark.parametrize("kind,layers", [
+    ("identity", None), ("one_design_layer", None), ("hardware_efficient", 90),
+])
+def test_sampling_builds_no_gate_specs(kind, layers, monkeypatch):
+    def refuse(self):
+        raise AssertionError("GateSpec built while sampling")
+
+    monkeypatch.setattr(GateSpec, "__post_init__", refuse)
+    program = sample_circuit(CircuitEnsemble(kind, 9, layers=layers), np.random.default_rng(9))
+    assert program.factors.shape[1:] == (9, 2, 2)
 
 
 class TestSampleCircuit:
@@ -202,7 +260,7 @@ class TestSampleCircuit:
         ens = CircuitEnsemble("identity", 3)
         assert np.allclose(sample_circuit(ens, np.random.default_rng(0)), np.eye(8))
 
-    @pytest.mark.parametrize("kind", ["one_design_layer", "hardware_efficient", "haar"])
+    @pytest.mark.parametrize("kind", ["one_design_layer", "hardware_efficient"])
     def test_unitarity(self, kind):
         ens = CircuitEnsemble(kind, 3, layers=4 if kind == "hardware_efficient" else None)
         u = np.asarray(sample_circuit(ens, np.random.default_rng(2)))
@@ -234,7 +292,6 @@ class TestSampleCircuit:
         ("hardware_efficient", 1, 3),
         ("hardware_efficient", 4, 40),
         ("hardware_efficient", 6, 7),
-        ("haar", 3, None),
     ])
     def test_matches_dense_construction(self, kind, n, layers):
         # same draws from the rng, same circuit as the dense 2^n x 2^n build

@@ -141,6 +141,12 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "1")
     assert code == 1
     assert "n_min" in err
+    # --layers outside two_design would be ignored, so it is refused
+    code, out, err = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--design-kind",
+                             "one_design", "--layers", "7", "--samples", "2")
+    assert code == 1
+    assert err.startswith("localrange: error: layers:"), err
+    assert out == ""
     # JSON values of the wrong type name their field instead of raising later
     cfg = tmp_path / "cfg.json"
     for field, value in (("layers_multiplier", 1.5), ("task", ["vqe"]),

@@ -52,6 +52,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("kind", ["one_design", "identity"])
+    def test_layers_only_for_two_design(self, kind):
+        # a fixed layer count on a layerless ensemble was silently ignored
+        with pytest.raises(ConfigError, match="^layers: .*two_design"):
+            small_cfg(design_kind=kind, layers=7)
+        assert small_cfg(design_kind=kind).layers is None
+        assert small_cfg(layers=0).layers == 0
+
     def test_m2_needs_adam(self):
         with pytest.raises(ConfigError, match="optimizer"):
             small_cfg(m=2, n_min=3, n_max=3, optimizer="exact")

@@ -579,7 +579,7 @@ def test_cost_matches_dense_oracle():
     rng = np.random.default_rng(303)
 
     def dense_cost(pc, h, rho, theta):
-        return generic_cost(h, rho, np.asarray(GateProgram(pc.n, pc.bind(theta))))
+        return generic_cost(h, rho, np.asarray(GateProgram.from_gates(pc.n, pc.bind(theta))))
 
     for _ in range(50):
         n = int(rng.integers(2, 7))
