@@ -25,7 +25,7 @@ from .landscape import (
     variation_range_exact_m1,
     variation_range_grid,
 )
-from .linalg import BipartitePartition, Operator
+from .linalg import BipartitePartition
 
 __all__ = [
     "AdamConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "GateProgram",
     "GateSpec",
     "LocalUnitaryParams",
-    "Operator",
     "TransferTensor",
     "VariationResult",
     "bound_report",

@@ -3,10 +3,14 @@
 Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
 ``GateProgram``: its fused segments, each one 2 x 2 factor per qubit then a CZ
 run, drawn directly by ``sample_circuit``; a ``GateSpec`` list is an input
-format, parsed once by ``GateProgram.from_gates``. A segment acts on a block of
-state vectors as ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
-matmul at O(2^n 2^b) per column for a b-qubit block, and its CZ run as one
-diagonal at O(2^n). Only ``np.asarray`` (small-n checks) forms the 2^n x 2^n matrix.
+format, parsed once by ``GateProgram.from_gates``. ``apply_stack`` runs a
+stack of programs sharing their CZ runs (``GateProgram.apply``: a stack of one)
+segment by segment: ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
+gemm per program whatever the column count, then the CZ run as one diagonal.
+Ping-pong layout: an even segment contracts the leading qubit block and moves
+it to the end (Y^T K^T, a transposed view), an odd one the trailing block to
+the front (K Y^T), so the column axis goes to the front and back with no copy.
+Only ``np.asarray`` (small-n checks) forms the 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def euler_zyz(phi: float, theta: float, alpha: float) -> np.ndarray:
 # cheap to build per segment and large enough that a layer of n rotations costs
 # ceil(n / 5) matmuls instead of n small products.
 FUSION_BLOCK_QUBITS = 5
-# Segments whose block matrices are built together; bounds their memory.
+# Block matrices built at once per qubit block, over a stack's programs and segments.
 _FUSION_CHUNK = 16
 
 
@@ -228,31 +232,52 @@ class GateProgram:
         return cls(n, factors, cz_runs)
 
     def apply(self, states) -> np.ndarray:
-        """U applied to a (2^n,) vector or to each column of a (2^n, k) block.
-
-        Each segment acts as one 2^b x 2^b matmul per block of b qubits
-        (``_qubit_blocks``), then its CZ run as one diagonal.
-        """
-        out = np.array(states, dtype=complex)
-        if out.shape[0] != 2**self.n:
-            raise DimensionError(f"state dim {out.shape[0]} != 2^{self.n}")
-        shape, column = out.shape, (-1,) + (1,) * (out.ndim - 1)
-        blocks = _qubit_blocks(self.n)
-        for start in range(0, len(self.cz_runs), _FUSION_CHUNK):
-            chunk = slice(start, start + _FUSION_CHUNK)
-            krons = [_kron_qubits(self.factors[chunk, q0:q1]) for q0, q1 in blocks]
-            for s, pairs in enumerate(self.cz_runs[chunk]):
-                for (q0, q1), kron in zip(blocks, krons):
-                    out = np.matmul(kron[s], out.reshape(2**q0, 2 ** (q1 - q0), -1)).reshape(shape)
-                if pairs:
-                    out *= _cz_signs(self.n, pairs).reshape(column)
-        return out
+        """U applied to a (2^n,) vector or to each column of a (2^n, k) block."""
+        x = np.asarray(states)
+        return apply_stack((self,), x.reshape(1, x.shape[0], -1))[0].reshape(x.shape)
 
     def __array__(self, dtype=None, copy=None):
         if 2**self.n > MAX_DIM:
             raise DimensionError(f"dense program dimension 2^{self.n} exceeds max {MAX_DIM}")
         u = self.apply(np.eye(2**self.n, dtype=complex))
         return u if dtype is None else u.astype(dtype, copy=False)
+
+
+def apply_stack(programs, states) -> np.ndarray:
+    """Program s of ``programs`` applied to each column of ``states[s]``, in the
+    ping-pong layout; ``states`` is an (S, 2^n, k) stack and the S programs
+    share n and their CZ runs. Returns a new C-contiguous stack."""
+    n, cz_runs = programs[0].n, programs[0].cz_runs
+    if any(p.n != n or p.cz_runs != cz_runs for p in programs):
+        raise ValueError("the programs of a stack must share n and their CZ runs")
+    x = np.array(states, dtype=complex)
+    stack, d, columns = x.shape
+    if (stack, d) != (len(programs), 2**n):
+        raise DimensionError(f"states of shape {x.shape} for {len(programs)} programs on 2^{n}")
+    factors = np.stack([p.factors for p in programs], axis=1)  # (segments, S, n, 2, 2)
+    blocks = _qubit_blocks(n)
+    chunk = max(1, _FUSION_CHUNK // stack)
+    for start in range(0, len(cz_runs), chunk):
+        seg = factors[start:start + chunk]
+        krons = [_kron_qubits(seg[:, :, q0:q1].reshape(-1, q1 - q0, 2, 2))
+                 .reshape(len(seg), stack, 2 ** (q1 - q0), 2 ** (q1 - q0)) for q0, q1 in blocks]
+        for s, pairs in enumerate(cz_runs[start:start + chunk]):
+            if (start + s) % 2 == 0:  # (blocks, columns) -> (columns, blocks)
+                for (q0, q1), kron in zip(blocks, krons):
+                    x = np.matmul(x.reshape(stack, 2 ** (q1 - q0), -1).transpose(0, 2, 1),
+                                  kron[s].transpose(0, 2, 1))
+                x = x.reshape(stack, columns, d)
+                if pairs:
+                    x *= _cz_signs(n, pairs)
+            else:  # (columns, blocks) -> (blocks, columns)
+                for (q0, q1), kron in zip(reversed(blocks), reversed(krons)):
+                    x = np.matmul(kron[s], x.reshape(stack, -1, 2 ** (q1 - q0)).transpose(0, 2, 1))
+                x = x.reshape(stack, d, columns)
+                if pairs:
+                    x *= _cz_signs(n, pairs)[:, None]
+    if len(cz_runs) % 2:
+        x = x.transpose(0, 2, 1)
+    return np.ascontiguousarray(x)
 
 
 def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram:
@@ -262,14 +287,14 @@ def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateP
         return GateProgram.from_gates(n, ())
     if ensemble.kind == "one_design_layer":
         # a row (phi, theta, alpha) per qubit, axes (z, y, z): Rz(phi) (Ry(theta) Rz(alpha))
-        m = _rotation_matrices([2, 1, 2], rng.uniform(0.0, 2 * np.pi, size=(n, 3)))
+        m = _rotation_matrices([2, 1, 2], rng.random((n, 3)) * (2 * np.pi))
         return GateProgram(n, [m[:, 0] @ (m[:, 1] @ m[:, 2])], ((),))
     # hardware_efficient: Ry(pi/4) on every qubit, then `layers` random layers of
     # uniform-axis rotations, each ended by the nearest-neighbor CZ chain.
     wall = rotation("y", np.pi / 4)
     if ensemble.layers == 0:
         return GateProgram(n, np.broadcast_to(wall, (1, n, 2, 2)), ((),))
-    draws = [(rng.integers(0, 3, size=n), rng.uniform(0.0, 2 * np.pi, size=n))
+    draws = [(rng.integers(0, 3, size=n), rng.random(n) * (2 * np.pi))
              for _ in range(ensemble.layers)]
     factors = _rotation_matrices(*map(np.array, zip(*draws)))  # (axes, angles), each (layers, n)
     factors[0] = factors[0] @ wall

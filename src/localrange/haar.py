@@ -19,8 +19,8 @@ import numpy as np
 from .linalg import (
     BipartitePartition,
     DimensionError,
-    Operator,
     as_matrix,
+    check_density,
     partial_trace,
     to_a_first,
 )
@@ -124,7 +124,7 @@ def second_moment_contracted(mq: MomentQuery) -> float:
 
 def average_reduced_purity(p, part: BipartitePartition) -> float:
     """E_V[tr(rho_A^2)] for rho_A = tr_B(V rho V+), in closed form."""
-    rho = Operator(as_matrix(p), kind="density").matrix
+    rho = check_density(p)
     if rho.shape[0] != part.d:
         raise DimensionError("density matrix does not match the partition")
     d, d_a, d_b = part.d, part.d_A, part.d_B

@@ -10,9 +10,7 @@ are drawn per the ensemble configuration.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +36,11 @@ DESIGN_KINDS = ("two_design", "one_design", "identity")
 OPTIMIZERS = ("exact", "adam", "grid")
 
 # A sample holds O(d_A^2 2^n) amplitudes; at n = 16 a 10n-layer vqe sample
-# spends about 2 s in the transfer contraction.
+# spends 0.8-1.0 s in the transfer contraction (2 shared cores, OpenBLAS).
 MAX_QUBITS = 16
+# A point's samples run through V1, V2 and H in stacks of at least one sample and at
+# most this many amplitudes in the V2 block (samples x 2^n x d_A^2; inputs are pure).
+_STACK_AMPLITUDES = 2**14
 
 CSV_HEADER = (
     "task,n,m,ensemble_config,samples,mean_delta_over_w,std_delta,"
@@ -158,8 +159,8 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
     return CircuitEnsemble(kind=kind, n=n, layers=layers if kind == "hardware_efficient" else None)
 
 
-def _sample_delta(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, layers: int) -> float:
-    """Variation range for sample k, fully determined by the config and indices."""
+def _sample_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, layers: int):
+    """Sample k's V1, V2 (None on an identity side), rho and optimizer rng, each from its own stream."""
     ss = np.random.SeedSequence(
         (cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
     )
@@ -171,41 +172,29 @@ def _sample_delta(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, la
     if cfg.ensemble_config in ("v2_design", "both") and ens.kind != "identity":
         v2 = sample_circuit(ens, rng_v2)
     rho = inst.rho if inst.rho is not None else random_pure_state(2**n, rng_rho)
-    t = transfer_tensor(inst.h, rho, v1, v2, inst.part)
+    return v1, v2, rho, rng_opt
+
+
+def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int) -> list[float]:
+    """Variation ranges of samples ks: drawn and solved one by one, contracted as one stack."""
+    draws = [_sample_draws(cfg, inst, n, k, layers) for k in ks]
+    v1s, v2s, rhos, rngs = (list(side) for side in zip(*draws))
+    ts = transfer_tensor(inst.h, rhos, None if v1s[0] is None else v1s,
+                         None if v2s[0] is None else v2s, inst.part)
     if cfg.optimizer == "exact":
-        return variation_range_exact_m1(t).delta
+        return [variation_range_exact_m1(t).delta for t in ts]
     if cfg.optimizer == "grid":
-        return variation_range_grid(t).delta
-    acfg = AdamConfig(seed=int(rng_opt.integers(0, 2**63)))
-    return variation_range_adam(t, acfg).delta
-
-
-def _worker_count() -> int | None:
-    """Sample threads: BARREN_THREADS, 1 when unset, Python's default when <= 0.
-
-    One worker is the default. A sample draws its circuits' factors in a few
-    numpy calls and applies them as a few hundred fused block matmuls of at most
-    32 x 32, short calls between which the interpreter lock is held, so more
-    threads add memory without adding speed: a vqe run at n = 9..11 took no
-    less time on two workers than on one, on two cores.
-    """
-    raw = os.environ.get("BARREN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"BARREN_THREADS: expected an integer, got {raw!r}")
-    return None if val <= 0 else val
+        return [variation_range_grid(t).delta for t in ts]
+    return [variation_range_adam(t, AdamConfig(seed=int(rng.integers(0, 2**63)))).delta
+            for t, rng in zip(ts, rngs)]
 
 
 def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
     inst = setup_task(cfg.task, n, cfg.m)
-    deltas = [0.0] * cfg.samples
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = [pool.submit(_sample_delta, cfg, inst, n, k, layers) for k in range(cfg.samples)]
-        for k, fut in enumerate(futures):
-            deltas[k] = fut.result()
+    per_stack = max(1, _STACK_AMPLITUDES // (2**n * inst.part.d_A**2))
+    deltas = []
+    for start in range(0, cfg.samples, per_stack):
+        deltas += _stack_deltas(cfg, inst, n, range(start, min(start + per_stack, cfg.samples)), layers)
     mean = math.fsum(deltas) / cfg.samples
     var = math.fsum((d - mean) ** 2 for d in deltas) / (cfg.samples - 1)
     bound_general = theorem1_bound(inst.w, n, cfg.m)

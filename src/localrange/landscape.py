@@ -20,6 +20,7 @@ from .circuits import (
     GateProgram,
     GateSpec,
     LocalUnitaryParams,
+    apply_stack,
     rotation,
     su4_generators,
 )
@@ -75,16 +76,23 @@ def _state_columns(rho, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_operator(op, states: np.ndarray) -> np.ndarray:
-    """op applied to the columns of ``states``; op is None (identity), a
-    GateProgram, an Observable or a matrix."""
+    """op applied to each sample's columns in the (S, 2^n, k) stack ``states``: op is
+    None (identity), a list of S GatePrograms, or one GateProgram, Observable or
+    matrix, which acts on all samples' columns side by side."""
     if op is None:
         return states
+    if isinstance(op, list):
+        return apply_stack(op, states)
+    stack, d, k = states.shape
+    cols = states.transpose(1, 0, 2).reshape(d, stack * k)
     if isinstance(op, (GateProgram, Observable)):
-        return op.apply(states)
-    m = as_matrix(op)
-    if m.shape[0] != states.shape[0]:
-        raise DimensionError(f"operator dim {m.shape[0]} != {states.shape[0]}")
-    return m @ states
+        out = op.apply(cols)
+    else:
+        m = as_matrix(op)
+        if m.shape[0] != d:
+            raise DimensionError(f"operator dim {m.shape[0]} != {d}")
+        out = m @ cols
+    return out.reshape(d, stack, k).transpose(1, 0, 2)
 
 
 def expectation(h, rho, v) -> float:
@@ -95,15 +103,15 @@ def expectation(h, rho, v) -> float:
     GateProgram or a dense matrix; ``h`` an Observable or a dense matrix.
     """
     cols, weights = _state_columns(rho, np.shape(rho)[0])
-    psi = _apply_operator(v, cols)
-    val = complex(np.einsum("xr,xr,r->", psi.conj(), _apply_operator(h, psi), weights))
+    psi = _apply_operator(v, cols[None])
+    val = complex(np.einsum("sxr,sxr,r->", psi.conj(), _apply_operator(h, psi), weights))
     scale = max(1.0, abs(val))
     if abs(val.imag) > IMAG_RESIDUE_ATOL * scale:
         raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
     return val.real
 
 
-def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
+def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
     """Contract H, rho, V1, V2 into the quadratic form over the local gate.
 
     With rho = sum_r w_r |c_r><c_r| and psi_r = V1 c_r, write psi_r[j] for the
@@ -112,27 +120,39 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition) -> TransferTensor:
         T_ijkl = sum_r w_r <e_k x psi_r[l]| V2+ H V2 |e_i x psi_r[j]>,
 
     so V1 acts on rank(rho) vectors and V2 and H on d_A^2 rank(rho) vectors.
-    ``rho`` may be a density matrix or a pure-state vector; ``v1``/``v2`` may be
-    None (identity), a GateProgram or a dense matrix; ``h`` an Observable or a
-    dense matrix.
+    ``rho`` is a density matrix or a pure-state vector, ``v1``/``v2`` None
+    (identity), a GateProgram or a dense matrix, ``h`` an Observable or a dense
+    matrix. Lists of S states of one rank or S GatePrograms sharing their CZ
+    runs make a stack, items outside a list being shared: V1, V2 and H run once
+    over it, and the S tensors come back as a list. A sample's gemms have the
+    same shapes in any stack.
     """
-    n, d, d_a, d_b = part.n, part.d, part.d_A, part.d_B
-    h_dim = 2**h.n if isinstance(h, Observable) else as_matrix(h).shape[0]
-    if h_dim != d:
-        raise DimensionError(f"H dim {h_dim} != 2^{n}")
-    cols, weights = _state_columns(rho, d)
-    rank = weights.size
-    # psi[j, b, r] with the A qubits leading
-    psi = to_a_first(_apply_operator(v1, cols), part).reshape(d_a, d_b, rank)
-    # x[a, b, i, j, r] = delta_ai psi[j, b, r]: the vectors e_i x psi_r[j]
-    x = np.zeros((d_a, d_b, d_a, d_a, rank), dtype=complex)
+    d, d_a, d_b = part.d, part.d_A, part.d_B
+    sizes = {len(a) for a in (rho, v1, v2) if isinstance(a, list)}
+    if len(sizes) > 1:
+        raise DimensionError(f"stacked rho, v1 and v2 differ in length: {sorted(sizes)}")
+    stack = max(sizes, default=1)
+    states = [_state_columns(r, d) for r in (rho if isinstance(rho, list) else [rho])]
+    if len({w.size for _, w in states}) > 1:
+        raise DimensionError("the states of a stack must share one rank")
+    cols, weights = (np.stack(side) for side in zip(*states))
+    rank = weights.shape[1]
+    # psi[j, b, s, r] with the A qubits leading
+    psi = _apply_operator(v1, np.broadcast_to(cols, (stack, d, rank)))
+    psi = to_a_first(psi.transpose(1, 0, 2), part).reshape(d_a, d_b, stack, rank)
+    # x[a, b, s, r, i, j] = delta_ai psi[j, b, s, r]: the vectors e_i x psi_sr[j]
+    x = np.zeros((d_a, d_b, stack, rank, d_a, d_a), dtype=complex)
     for i in range(d_a):
-        x[i, :, i] = psi.transpose(1, 0, 2)
-    x = to_a_first(x.reshape(d, -1), part, inverse=True)
-    y = _apply_operator(v2, x)
-    hy = _apply_operator(h, y).reshape(d, d_a, d_a, rank)
-    t = np.einsum("xklr,xijr,r->ijkl", y.conj().reshape(hy.shape), hy, weights)
-    return TransferTensor(part=part, tensor=t)
+        x[i, :, :, :, i] = psi.transpose(1, 2, 3, 0)
+    x = to_a_first(x.reshape(d, stack, -1), part, inverse=True)
+    y = _apply_operator(v2, x.transpose(1, 0, 2))
+    hy = _apply_operator(h, y).reshape(stack, d, rank, d_a**2) * weights[:, None, :, None]
+    # T_s[ij, kl] = sum_xr w_sr (H y_s)[x, r, ij] conj(y_s[x, r, kl]): one gemm per sample
+    t = np.matmul(hy.reshape(stack, d * rank, -1).transpose(0, 2, 1),
+                  y.conj().reshape(stack, d * rank, -1)).reshape((stack,) + (d_a,) * 4)
+    if not sizes:
+        return TransferTensor(part=part, tensor=t[0])
+    return [TransferTensor(part=part, tensor=tk) for tk in t]
 
 
 # ---------------------------------------------------------------------------

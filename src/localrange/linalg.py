@@ -1,8 +1,7 @@
 """Dense complex linear algebra kernel.
 
-Everything operates on plain numpy arrays (complex128). The ``Operator``
-wrapper only adds dimension metadata and invariant checks at API boundaries;
-the math functions accept either an ``Operator`` or a raw ndarray.
+Everything operates on plain numpy arrays (complex128); ``check_density``
+validates a density matrix at an API boundary.
 
 Basis-ordering convention: qubit 0 is the most significant tensor factor, so
 ``np.kron(A, B)`` puts A on the lower-numbered qubits; ``BipartitePartition.a_first``
@@ -29,7 +28,6 @@ PAULI = {
 }
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 
@@ -39,9 +37,7 @@ class DimensionError(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce an Operator or array-like to a square complex ndarray."""
-    if isinstance(a, Operator):
-        return a.matrix
+    """Coerce an array-like to a square complex ndarray."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -57,47 +53,18 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return max_abs(m - m.conj().T) <= atol * scale
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex square matrix with an advisory kind tag.
-
-    kind is one of 'generic', 'hermitian', 'unitary', 'density'; construction
-    validates the corresponding invariant.
-    """
-
-    matrix: np.ndarray
-    kind: str = "generic"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"operator must be square, got shape {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.kind == "generic":
-            return
-        if self.kind == "hermitian":
-            if not is_hermitian(m):
-                raise ValueError("matrix is not Hermitian within tolerance")
-        elif self.kind == "unitary":
-            err = max_abs(m @ m.conj().T - np.eye(m.shape[0]))
-            if err > UNITARY_ATOL:
-                raise ValueError(f"matrix is not unitary (max deviation {err:.3e})")
-        elif self.kind == "density":
-            if not is_hermitian(m, atol=1e-10):
-                raise ValueError("density matrix must be Hermitian")
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-                raise ValueError(f"density matrix trace {tr} != 1")
-            if float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) < DENSITY_EIG_FLOOR:
-                raise ValueError("density matrix has a negative eigenvalue")
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+def check_density(rho) -> np.ndarray:
+    """rho as a square complex ndarray, after checking that it is Hermitian, of unit
+    trace and has no eigenvalue below DENSITY_EIG_FLOOR; ValueError if not."""
+    m = as_matrix(rho)
+    if not is_hermitian(m, atol=1e-10):
+        raise ValueError("density matrix must be Hermitian")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
+        raise ValueError(f"density matrix trace {tr} != 1")
+    if float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) < DENSITY_EIG_FLOOR:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return m
 
 
 @dataclass(frozen=True)

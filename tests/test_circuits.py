@@ -22,6 +22,7 @@ from localrange.circuits import (
     GateSpec,
     LocalUnitaryParams,
     _qubit_blocks,
+    apply_stack,
     euler_zyz,
     local_unitary,
     rotation,
@@ -213,6 +214,94 @@ def test_fused_apply_edge_programs(n, layout):
              "empty": []}[layout]
     for columns in (None, 4):
         assert_matches_gatewise(n, gates, random_states(n, columns, seed=n))
+
+
+@st.composite
+def program_stacks(draw, max_segments=5):
+    """(n, S gate lists) on 1..11 qubits whose programs share their CZ runs:
+    every list has the same CZ runs, and when it has rotations, at least one
+    before each run, so that the lists cut into the same segments. Odd and
+    even segment counts, one-segment, CZ-only and empty programs all occur."""
+    n = draw(st.integers(1, 11))
+    stack = draw(st.integers(1, 3))
+    rotation_gate = st.builds(
+        GateSpec, st.sampled_from(["rx", "ry", "rz"]), st.integers(0, n - 1),
+        angle=st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    runs = [draw(st.lists(pair, min_size=1, max_size=3)) if n > 1 else []
+            for _ in range(draw(st.integers(0, max_segments)))]
+    rotations = draw(st.booleans())
+    tail = rotations and draw(st.booleans())  # rotations after the last run
+    lists = []
+    for _ in range(stack):
+        gates = []
+        for run in runs + [[]] * tail:
+            if rotations:
+                gates += draw(st.lists(rotation_gate, min_size=1, max_size=6))
+            gates += [GateSpec("cz", b, control=a) for a, b in run]
+        lists.append(gates)
+    return n, lists
+
+
+def assert_stack_matches_gatewise(n, lists, columns, seed):
+    x = random_states(n, columns, seed)
+    xs = np.stack([x * (s + 1) + 1j * s for s in range(len(lists))])
+    programs = [GateProgram.from_gates(n, gates) for gates in lists]
+    got = apply_stack(programs, xs)
+    assert got.shape == xs.shape and got.flags.c_contiguous
+    for s, gates in enumerate(lists):
+        assert_close(got[s], apply_gatewise(n, gates, xs[s]), xs[s])
+
+
+@settings(max_examples=80, deadline=None)
+@given(program_stacks(), st.sampled_from([1, 3, 4]), st.integers(0, 2**32 - 1))
+def test_stacked_apply_matches_gatewise(stack, columns, seed):
+    assert_stack_matches_gatewise(*stack, columns, seed)
+
+
+@pytest.mark.parametrize("n", [2, 6, 11])
+@pytest.mark.parametrize("segments", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("rotations", [True, False])
+def test_stacked_apply_edge_programs(n, segments, rotations):
+    # empty (0 segments), one-segment and CZ-only programs, and odd and even
+    # segment counts, whose final layouts differ; a stack of 3 builds its
+    # blocks 5 segments at a time, so at 7 the second chunk starts on an odd one
+    rng = np.random.default_rng(10 * n + segments)
+    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
+    lists = []
+    for _ in range(3):
+        gates = []
+        for s in range(segments):
+            if rotations:
+                gates += [GateSpec(("rx", "ry", "rz")[rng.integers(3)], q, angle=rng.uniform(0, 7))
+                          for q in rng.permutation(n)]
+            if s < segments - 1 or not rotations:
+                gates += chain
+        lists.append(gates)
+    for columns in (1, 3, 4):
+        assert_stack_matches_gatewise(n, lists, columns, seed=n + columns)
+
+
+def test_stack_input_checks():
+    ens = CircuitEnsemble("hardware_efficient", 3, layers=2)
+    a, b = (sample_circuit(ens, np.random.default_rng(k)) for k in (0, 1))
+    with pytest.raises(DimensionError):
+        apply_stack([a, b], np.zeros((3, 8, 2)))
+    with pytest.raises(DimensionError):
+        apply_stack([a], np.zeros((1, 4, 2)))
+    with pytest.raises(ValueError, match="CZ runs"):
+        apply_stack([a, GateProgram.from_gates(3, ())], np.zeros((2, 8, 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+@pytest.mark.parametrize("shape", [1, 5, 9, (1, 3), (16, 3)])
+def test_angle_draws_match_uniform(seed, shape):
+    # rng.random(k) * 2 pi is numpy's uniform(0, 2 pi, k), 0.0 + 2 pi d,
+    # value for value, and leaves the generator in the same state
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(a.random(shape) * (2 * np.pi), b.uniform(0.0, 2 * np.pi, shape))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("n,blocks", [(1, 1), (5, 1), (6, 2), (11, 3), (16, 4)])

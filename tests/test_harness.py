@@ -115,12 +115,29 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
                            samples=2, seed=31)
     inst = harness.setup_task(task, 5, 1)
     layers = harness._effective_layers(cfg, 5)
-    got = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
+    got = harness._stack_deltas(cfg, inst, 5, range(2), layers)
     monkeypatch.setattr(harness, "sample_circuit", sample_circuit_dense)
-    monkeypatch.setattr(harness, "transfer_tensor", lambda h, rho, v1, v2, part: TransferTensor(
-        part, transfer_tensor_dense(h, rho, v1, v2, part)))
-    want = [harness._sample_delta(cfg, inst, 5, k, layers) for k in range(2)]
+    monkeypatch.setattr(harness, "transfer_tensor", lambda h, rhos, v1s, v2s, part: [
+        TransferTensor(part, transfer_tensor_dense(h, rho, v1, v2, part))
+        for rho, v1, v2 in zip(rhos, v1s or [None] * 2, v2s or [None] * 2)])
+    want = harness._stack_deltas(cfg, inst, 5, range(2), layers)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * inst.w)
+
+
+@pytest.mark.parametrize("cfg", [
+    # stacks of at most 8, 4 and 2 samples at n = 9, 10 and 11
+    ExperimentConfig(task="vqe", n_min=9, n_max=11, layers=6, samples=5, seed=2),
+    # qae draws its input per sample; qsl one-design has one segment per side
+    ExperimentConfig(task="qae", n_min=10, n_max=11, layers=20, ensemble_config="v2_design",
+                     samples=3, seed=4),
+    ExperimentConfig(task="qsl", n_min=8, n_max=11, design_kind="one_design", samples=9, seed=6),
+], ids=["vqe", "qae", "qsl"])
+def test_rows_independent_of_stack_split(monkeypatch, cfg):
+    # every per-sample gemm has the same shape in any stack, so one sample per
+    # stack gives the same bytes as the full stacks
+    full = harness.run_scaling(cfg)
+    monkeypatch.setattr(harness, "_STACK_AMPLITUDES", 1)
+    assert harness.run_scaling(cfg) == full
 
 
 def test_n14_runs_matrix_free_and_within_bounds():
@@ -231,34 +248,32 @@ class TestCsv:
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         # n = 7 fuses each layer into two blocks, whose 2^b x 2^b matmuls may run
-        # on threaded BLAS; None removes the variable from the environment
-        cfg_json = dict(task="vqe", n_min=2, n_max=7, samples=4, seed=9)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg_json))
-        settings = [
-            {"BARREN_THREADS": "1"},
-            {"BARREN_THREADS": "4"},
-            {"BARREN_THREADS": None, "OPENBLAS_NUM_THREADS": None},
-            {"BARREN_THREADS": None, "OPENBLAS_NUM_THREADS": "1"},
-        ]
-        outputs = []
-        for k, setting in enumerate(settings):
-            out_path = tmp_path / f"out{k}.csv"
-            env = dict(os.environ)
-            for name, value in setting.items():
-                if value is None:
-                    env.pop(name, None)
-                else:
-                    env[name] = value
-            res = subprocess.run(
-                [sys.executable, "-m", "localrange", "scaling",
-                 "--config", str(cfg_path), "--out", str(out_path)],
-                env=env, capture_output=True, text=True,
-            )
-            assert res.returncode == 0, res.stderr
-            outputs.append(out_path.read_bytes())
-        assert len(outputs[0].splitlines()) == 1 + 6
-        assert all(out == outputs[0] for out in outputs[1:])
+        # on threaded BLAS; the n = 11 qsl points split into stacks of 2 samples.
+        # None removes the variable from the environment.
+        configs = [dict(task="vqe", n_min=2, n_max=7, samples=4, seed=9),
+                   dict(task="qsl", n_min=10, n_max=11, design_kind="one_design", samples=5, seed=9)]
+        settings = [{"OPENBLAS_NUM_THREADS": None}, {"OPENBLAS_NUM_THREADS": "1"}]
+        for c, cfg_json in enumerate(configs):
+            cfg_path = tmp_path / f"cfg{c}.json"
+            cfg_path.write_text(json.dumps(cfg_json))
+            outputs = []
+            for k, setting in enumerate(settings):
+                out_path = tmp_path / f"out{c}-{k}.csv"
+                env = dict(os.environ)
+                for name, value in setting.items():
+                    if value is None:
+                        env.pop(name, None)
+                    else:
+                        env[name] = value
+                res = subprocess.run(
+                    [sys.executable, "-m", "localrange", "scaling",
+                     "--config", str(cfg_path), "--out", str(out_path)],
+                    env=env, capture_output=True, text=True,
+                )
+                assert res.returncode == 0, res.stderr
+                outputs.append(out_path.read_bytes())
+            assert len(outputs[0].splitlines()) == 1 + cfg_json["n_max"] - cfg_json["n_min"] + 1
+            assert outputs[1] == outputs[0]
 
 
 def test_experiment_row_is_plain_data():

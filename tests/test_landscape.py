@@ -686,3 +686,68 @@ def test_statevector_transfer_matches_dense_oracle(a_sites, state, circuit):
         got = transfer_tensor(h, rho, v1, v2, part).tensor
         ref = transfer_tensor_dense(h, rho, v1, v2, part)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("state", ["pure", "mixed", "shared"])
+@pytest.mark.parametrize("sides", ["none", "v1", "v2", "both"])
+def test_stacked_transfer_matches_dense_oracle(m, state, sides):
+    # a stack of three samples: per-sample programs on the random sides, and
+    # per-sample pure states, per-sample density matrices (rank 3 at n = 8,
+    # full below), or one density matrix shared by the stack
+    rng = np.random.default_rng(7 * m + len(state) + 3 * len(sides))
+    for n in (m + 2, 5, 8):
+        part = BipartitePartition(n, tuple(range(m)))
+        h = random_hermitian(part.d, rng)
+        ens = CircuitEnsemble("hardware_efficient", n, layers=3)
+        draw = {"none": (False, False), "v1": (True, False), "v2": (False, True),
+                "both": (True, True)}[sides]
+        v1s, v2s = ([sample_circuit(ens, rng) for _ in range(3)] if on else None for on in draw)
+        rhos = {
+            "pure": lambda: [random_pure_state(part.d, rng) for _ in range(3)],
+            "mixed": lambda: [random_density(part.d, rng, rank=None if n < 8 else 3) for _ in range(3)],
+            "shared": lambda: [random_density(part.d, rng)] * 3,
+        }[state]()
+        # a shared state is passed once; with no program list the stack is the rhos
+        rho = rhos[0] if state == "shared" and sides != "none" else rhos
+        got = transfer_tensor(h, rho, v1s, v2s, part)
+        assert len(got) == 3
+        for s, t in enumerate(got):
+            ref = transfer_tensor_dense(h, rhos[s], v1s and v1s[s], v2s and v2s[s], part)
+            assert np.max(np.abs(t.tensor - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_stacked_transfer_independent_of_stack(m, rank):
+    # a sample's tensor is bitwise the same alone as inside a stack
+    rng = np.random.default_rng(m + 2 * rank)
+    n = 7
+    part = BipartitePartition(n, tuple(range(m)))
+    ens = CircuitEnsemble("hardware_efficient", n, layers=5)
+    v1s = [sample_circuit(ens, rng) for _ in range(4)]
+    v2s = [sample_circuit(ens, rng) for _ in range(4)]
+    rhos = [random_pure_state(part.d, rng) if rank == 1 else random_density(part.d, rng, rank=rank)
+            for _ in range(4)]
+    full = transfer_tensor(heisenberg(n), rhos, v1s, v2s, part)
+    for s in range(4):
+        alone = transfer_tensor(heisenberg(n), rhos[s:s + 1], v1s[s:s + 1], v2s[s:s + 1], part)
+        assert np.array_equal(alone[0].tensor, full[s].tensor)
+
+
+def test_stacked_transfer_input_checks():
+    part = BipartitePartition(3, (0,))
+    ens = CircuitEnsemble("hardware_efficient", 3, layers=2)
+    rng = np.random.default_rng(0)
+    rho = random_pure_state(8, rng)
+    with pytest.raises(DimensionError, match="differ in length"):
+        transfer_tensor(heisenberg(3), [rho, rho], [sample_circuit(ens, rng)] * 3, None, part)
+    # programs of one stack share their CZ runs
+    other = sample_circuit(CircuitEnsemble("hardware_efficient", 3, layers=3), rng)
+    with pytest.raises(ValueError, match="share n and their CZ runs"):
+        transfer_tensor(heisenberg(3), rho, [sample_circuit(ens, rng), other], None, part)
+    # a single sample gives one TransferTensor, a stack of one a list of one
+    assert isinstance(transfer_tensor(heisenberg(3), rho, None, None, part), landscape.TransferTensor)
+    assert len(transfer_tensor(heisenberg(3), [rho], None, None, part)) == 1
+    with pytest.raises(DimensionError, match="one rank"):
+        transfer_tensor(heisenberg(3), [rho, np.eye(8) / 8], None, None, part)

@@ -10,7 +10,7 @@ from localrange.linalg import (
     PAULI,
     BipartitePartition,
     DimensionError,
-    Operator,
+    check_density,
     eig_hermitian,
     partial_trace,
     random_density,
@@ -28,25 +28,16 @@ def test_pauli_algebra():
         assert np.trace(PAULI[a]) == 0
 
 
-class TestOperator:
-    def test_kinds_validate(self):
-        Operator(PAULI["X"], kind="hermitian")
-        Operator(PAULI["X"], kind="unitary")
+def test_density_checks():
+    assert np.array_equal(check_density(np.diag([0.5, 0.5])), np.diag([0.5, 0.5]))
+    for bad in (np.diag([0.7, 0.7]), np.diag([1.5, -0.5]), np.array([[0.5, 0.5], [0.0, 0.5]])):
         with pytest.raises(ValueError):
-            Operator(np.array([[0, 1], [0, 0]]), kind="hermitian")
-        with pytest.raises(ValueError):
-            Operator(2 * np.eye(2), kind="unitary")
+            check_density(bad)
 
-    def test_density_checks(self):
-        Operator(np.diag([0.5, 0.5]), kind="density")
-        with pytest.raises(ValueError):
-            Operator(np.diag([0.7, 0.7]), kind="density")
-        with pytest.raises(ValueError):
-            Operator(np.diag([1.5, -0.5]), kind="density")
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError):
-            Operator(np.zeros((2, 3)))
+def test_density_check_rejects_nonsquare():
+    with pytest.raises(DimensionError):
+        check_density(np.zeros((2, 3)))
 
 
 class TestPartition:
@@ -176,7 +167,7 @@ def test_spectral_width():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_random_density_is_a_state(seed, n):
     rho = random_density(2**n, np.random.default_rng(seed))
-    Operator(rho, kind="density")  # validates trace, hermiticity, positivity
+    check_density(rho)  # validates trace, hermiticity, positivity
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,8 +176,8 @@ def test_partial_trace_of_density_is_density(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(16, rng)
     part = BipartitePartition(4, (0, 3))
-    Operator(partial_trace(rho, part, "B"), kind="density")
-    Operator(partial_trace(rho, part, "A"), kind="density")
+    check_density(partial_trace(rho, part, "B"))
+    check_density(partial_trace(rho, part, "A"))
 
 
 def test_random_pure_state_normalized():
