@@ -189,8 +189,8 @@ def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers
             for t, rng in zip(ts, rngs)]
 
 
-def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
-    inst = setup_task(cfg.task, n, cfg.m)
+def _run_point(cfg: ExperimentConfig, n: int) -> ExperimentRow:
+    inst, layers = setup_task(cfg.task, n, cfg.m), _effective_layers(cfg, n)
     per_stack = max(1, _STACK_AMPLITUDES // (2**n * inst.part.d_A**2))
     deltas = []
     for start in range(0, cfg.samples, per_stack):
@@ -222,7 +222,7 @@ def _run_point(cfg: ExperimentConfig, n: int, layers: int) -> ExperimentRow:
 
 def run_scaling(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per n in [n_min, n_max], ascending; deterministic in the seed."""
-    return [_run_point(cfg, n, _effective_layers(cfg, n)) for n in range(cfg.n_min, cfg.n_max + 1)]
+    return [_run_point(cfg, n) for n in range(cfg.n_min, cfg.n_max + 1)]
 
 
 def run_layer_sweep(cfg: ExperimentConfig, layer_list) -> dict[tuple[int, int], ExperimentRow]:
@@ -232,12 +232,7 @@ def run_layer_sweep(cfg: ExperimentConfig, layer_list) -> dict[tuple[int, int], 
         raise ConfigError(f"layers: counts must be nonnegative, got {layer_list}")
     if cfg.design_kind != "two_design":
         raise ConfigError("design_kind: layer sweeps only apply to two_design ensembles")
-    out = {}
-    for layers in layer_list:
-        sub = replace(cfg, layers=layers)
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            out[(layers, n)] = _run_point(sub, n, layers)
-    return out
+    return {(layers, row.n): row for layers in layer_list for row in run_scaling(replace(cfg, layers=layers))}
 
 
 def fit_slope(rows) -> tuple[float, float, float]:
@@ -258,7 +253,7 @@ def fit_slope(rows) -> tuple[float, float, float]:
         raise ValueError("cannot fit a log-scale slope through nonpositive means")
     x = np.array([n for n, _ in pts], dtype=float)
     y = np.log2([mean for _, mean in pts])
-    if np.allclose(y, y[0], atol=1e-12):
+    if np.allclose(y, y[0], rtol=0.0, atol=1e-12):
         return 0.0, float(y[0]), 0.0
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -1,9 +1,9 @@
 """Variation range of the cost over one local gate, and the bounds it obeys.
 
-The cost C(U_A) = tr(H V2 (U_A x I_B) V1 rho V1+ (U_A+ x I_B) V2+) is quadratic
-in the entries of U_A, so everything outside subsystem A is contracted once
-into a d_A^2 x d_A^2 transfer tensor; each candidate local gate then costs
-O(d_A^4) to evaluate. For a single-qubit gate U = q0 I - i(q1 X + q2 Y + q3 Z),
+The cost C(U_A) = tr(H V2 (U_A x I_B) V1 rho V1+ (U_A+ x I_B) V2+) is the
+Hermitian form C(U) = vec(U)^T M vec(U)*: everything outside subsystem A is
+contracted once into the d_A^2 x d_A^2 matrix M, and each candidate local gate
+then costs O(d_A^4) to evaluate. For a single-qubit gate U = q0 I - i(q1 X + q2 Y + q3 Z),
 q a unit quaternion, the cost is a quadratic form q^T S q with S real
 symmetric 4 x 4, so the range max C - min C is lambda_max(S) - lambda_min(S).
 """
@@ -21,11 +21,12 @@ from .circuits import (
     GateSpec,
     LocalUnitaryParams,
     apply_stack,
+    euler_zyz,
     rotation,
     su4_generators,
 )
 from .costs import Observable
-from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, max_abs, to_a_first
+from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
 
 IMAG_RESIDUE_ATOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -38,26 +39,38 @@ GRID_DEFAULT_RESOLUTION = 64
 
 @dataclass(frozen=True)
 class TransferTensor:
-    """Quadratic form of the cost in the local gate: C(U) = sum T[ijkl] U_ij U*_kl."""
+    """The cost as a Hermitian form in the local gate: C(U) = vec(U)^T M vec(U)*.
+
+    ``matrix`` is M[(i, j), (k, l)] = T_ijkl, a read-only copy checked Hermitian here, once.
+    """
 
     part: BipartitePartition
-    tensor: np.ndarray  # shape (d_A, d_A, d_A, d_A), indices (i, j, k, l)
+    matrix: np.ndarray
 
     def __post_init__(self):
-        d_a = self.part.d_A
-        t = np.asarray(self.tensor, dtype=complex)
-        if t.shape != (d_a, d_a, d_a, d_a):
-            raise DimensionError(f"tensor shape {t.shape} != (d_A,)*4 with d_A={d_a}")
-        object.__setattr__(self, "tensor", t)
-
-    def evaluate(self, ua) -> float:
-        u = np.asarray(ua, dtype=complex)
-        val = np.einsum("ijkl,ij,kl->", self.tensor, u, u.conj())
-        return float(val.real)
-
-    def as_matrix(self) -> np.ndarray:
         d2 = self.part.d_A ** 2
-        return self.tensor.reshape(d2, d2)
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (d2, d2):
+            raise DimensionError(f"matrix shape {m.shape} != (d_A^2,)*2 with d_A^2={d2}")
+        if not is_hermitian(m, atol=1e-9):
+            raise ValueError("cost quadratic form is not Hermitian; H or rho not Hermitian?")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """T_ijkl, the read-only (d_A, d_A, d_A, d_A) view of M."""
+        return self.matrix.reshape((self.part.d_A,) * 4)
+
+    def evaluate(self, u):
+        """C(U) of one gate (a float) or of each gate in a (..., d_A, d_A) stack."""
+        u = np.asarray(u, dtype=complex)
+        d_a = self.part.d_A
+        if u.shape[-2:] != (d_a, d_a):
+            raise DimensionError(f"gate shape {u.shape} does not end in ({d_a}, {d_a})")
+        x = u.reshape(u.shape[:-2] + (d_a * d_a,))
+        vals = ((x @ self.matrix) * x.conj()).sum(-1).real
+        return float(vals) if u.ndim == 2 else vals
 
 
 def _state_columns(rho, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +160,12 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
     x = to_a_first(x.reshape(d, stack, -1), part, inverse=True)
     y = _apply_operator(v2, x.transpose(1, 0, 2))
     hy = _apply_operator(h, y).reshape(stack, d, rank, d_a**2) * weights[:, None, :, None]
-    # T_s[ij, kl] = sum_xr w_sr (H y_s)[x, r, ij] conj(y_s[x, r, kl]): one gemm per sample
-    t = np.matmul(hy.reshape(stack, d * rank, -1).transpose(0, 2, 1),
-                  y.conj().reshape(stack, d * rank, -1)).reshape((stack,) + (d_a,) * 4)
+    # M_s[ij, kl] = sum_xr w_sr (H y_s)[x, r, ij] conj(y_s[x, r, kl]): one gemm per sample
+    m = np.matmul(hy.reshape(stack, d * rank, -1).transpose(0, 2, 1),
+                  y.conj().reshape(stack, d * rank, -1))
     if not sizes:
-        return TransferTensor(part=part, tensor=t[0])
-    return [TransferTensor(part=part, tensor=tk) for tk in t]
+        return TransferTensor(part, matrix=m[0])
+    return [TransferTensor(part, matrix=mk) for mk in m]
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +198,11 @@ _QUATERNION_BASIS = np.stack([PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"])
 def quaternion_form(t: TransferTensor) -> np.ndarray:
     """Real symmetric S with C(U) = q^T S q, from S_ab = sum T_ijkl B^a_ij conj(B^b_kl).
 
-    That S is Hermitian for valid input; its antisymmetric imaginary part drops out.
+    S is Hermitian because M is; its antisymmetric imaginary part is roundoff and drops out.
     """
     if t.part.m != 1:
         raise DimensionError("the quaternion form requires a single-qubit subsystem")
     s = np.einsum("ijkl,aij,bkl->ab", t.tensor, _QUATERNION_BASIS, _QUATERNION_BASIS.conj())
-    if max_abs(s - s.conj().T) > 1e-9 * max(1.0, max_abs(s)):
-        raise ValueError("cost quadratic form is not Hermitian; H or rho not Hermitian?")
     return ((s + s.conj().T) / 2).real
 
 
@@ -230,15 +241,8 @@ def variation_range_exact_m1(t: TransferTensor) -> VariationResult:
 def _euler_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """All resolution^3 ZYZ unitaries on the uniform [0, 2pi)^3 grid, read-only."""
     angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    phi, theta, alpha = np.meshgrid(angles, angles, angles, indexing="ij")
-    phi, theta, alpha = phi.ravel(), theta.ravel(), alpha.ravel()
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    us = np.empty((phi.size, 2, 2), dtype=complex)
-    us[:, 0, 0] = np.exp(-0.5j * (phi + alpha)) * c
-    us[:, 0, 1] = -np.exp(-0.5j * (phi - alpha)) * s
-    us[:, 1, 0] = np.exp(0.5j * (phi - alpha)) * s
-    us[:, 1, 1] = np.exp(0.5j * (phi + alpha)) * c
-    angs = np.stack([phi, theta, alpha], axis=1)
+    angs = np.stack([a.ravel() for a in np.meshgrid(angles, angles, angles, indexing="ij")], axis=1)
+    us = euler_zyz(*angs.T)
     us.flags.writeable = angs.flags.writeable = False  # shared through the cache
     return us, angs
 
@@ -250,7 +254,7 @@ def variation_range_grid(t: TransferTensor, resolution: int = GRID_DEFAULT_RESOL
     if resolution < 4:
         raise ValueError("grid resolution must be at least 4")
     us, angs = _euler_grid(resolution)
-    vals = np.einsum("ijkl,nij,nkl->n", t.tensor, us, us.conj(), optimize=True).real
+    vals = t.evaluate(us)
     hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
     return VariationResult(
         max_value=float(vals[hi]),
@@ -275,32 +279,31 @@ class AdamConfig:
     seed: int = 0
 
 
-def _cost_and_grad_m1(t: TransferTensor, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _gate_m1(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U = Rz(phi) Ry(theta) Rz(alpha) and its derivatives in the three angles."""
     phi, theta, alpha = x
     rz1, ry, rz2 = rotation("z", phi), rotation("y", theta), rotation("z", alpha)
     u = rz1 @ ry @ rz2
-    gens = (
+    return u, (
         -0.5j * PAULI["Z"] @ u,
         rz1 @ (-0.5j * PAULI["Y"]) @ ry @ rz2,
         u @ (-0.5j * PAULI["Z"]),
     )
-    tu = np.einsum("ijkl,kl->ij", t.tensor, u.conj())
-    val = float(np.einsum("ij,ij->", tu, u).real)
-    grad = np.array([2.0 * np.einsum("ij,ij->", tu, du).real for du in gens])
-    return val, grad
 
 
-def _cost_and_grad_m2(t: TransferTensor, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _gate_m2(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U = exp(-i sum_k x_k G_k) and its derivatives in the 15 coefficients."""
     gens = su4_generators()
     a = -1j * sum(c * g for c, g in zip(x, gens))
-    u = expm(a)
-    tu = np.einsum("ijkl,kl->ij", t.tensor, u.conj())
-    val = float(np.einsum("ij,ij->", tu, u).real)
-    grad = np.empty(15)
-    for k, g in enumerate(gens):
-        _, du = expm_frechet(a, -1j * g)
-        grad[k] = 2.0 * np.einsum("ij,ij->", tu, du).real
-    return val, grad
+    return expm(a), tuple(expm_frechet(a, -1j * g)[1] for g in gens)
+
+
+def _cost_and_grad(t: TransferTensor, gate, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """C(U(x)) and its gradient, dC = 2 Re(vec(dU)^T M vec(U)*), for the gate map ``gate``."""
+    u, dus = gate(x)
+    mu = t.matrix @ u.conj().ravel()
+    grad = np.array([2.0 * (du.ravel() @ mu).real for du in dus])
+    return float((u.ravel() @ mu).real), grad
 
 
 def _adam_run(fg, x0: np.ndarray, sign: float, cfg: AdamConfig) -> tuple[np.ndarray, float, int, bool]:
@@ -339,10 +342,10 @@ def variation_range_adam(t: TransferTensor, cfg: AdamConfig = AdamConfig()) -> V
     m = t.part.m
     if m not in (1, 2):
         raise DimensionError("gradient optimizer supports one- or two-qubit subsystems")
-    raw = _cost_and_grad_m1 if m == 1 else _cost_and_grad_m2
+    gate = _gate_m1 if m == 1 else _gate_m2
 
     def fg(x):
-        return raw(t, x)
+        return _cost_and_grad(t, gate, x)
 
     dim = 3 if m == 1 else 15
     rng = np.random.default_rng(cfg.seed)

@@ -27,7 +27,6 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-HERMITIAN_ATOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 
@@ -48,7 +47,8 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m: np.ndarray, atol: float) -> bool:
+    """max |m - m+| <= atol * max(1, max |m|)."""
     scale = max(1.0, max_abs(m))
     return max_abs(m - m.conj().T) <= atol * scale
 
@@ -118,21 +118,10 @@ def partial_trace(mat, part: BipartitePartition, traced: str) -> np.ndarray:
     traced='B' returns a d_A x d_A matrix ordered like part.a_sites; traced='A'
     returns d_B x d_B ordered by ascending b_sites.
     """
-    m = as_matrix(mat)
-    n = part.n
-    if m.shape[0] != 2**n:
-        raise DimensionError(f"operator dim {m.shape[0]} != 2^{n}")
     if traced not in ("A", "B"):
         raise ValueError("traced must be 'A' or 'B'")
-    keep = part.a_sites if traced == "B" else part.b_sites
-    drop = part.b_sites if traced == "B" else part.a_sites
-    t = m.reshape((2,) * (2 * n))
-    row = list(keep) + list(drop)
-    col = [n + q for q in row]
-    t = t.transpose(row + col)
-    dk, dd = 2 ** len(keep), 2 ** len(drop)
-    t = t.reshape(dk, dd, dk, dd)
-    return np.einsum("aibi->ab", t)
+    t = to_a_first(as_matrix(mat), part, operator=True).reshape(part.d_A, part.d_B, part.d_A, part.d_B)
+    return np.einsum("aibi->ab" if traced == "B" else "iaib->ab", t)
 
 
 def to_a_first(x: np.ndarray, part: BipartitePartition, operator: bool = False,

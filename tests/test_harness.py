@@ -118,7 +118,7 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
     got = harness._stack_deltas(cfg, inst, 5, range(2), layers)
     monkeypatch.setattr(harness, "sample_circuit", sample_circuit_dense)
     monkeypatch.setattr(harness, "transfer_tensor", lambda h, rhos, v1s, v2s, part: [
-        TransferTensor(part, transfer_tensor_dense(h, rho, v1, v2, part))
+        TransferTensor(part, transfer_tensor_dense(h, rho, v1, v2, part).reshape(4, 4))
         for rho, v1, v2 in zip(rhos, v1s or [None] * 2, v2s or [None] * 2)])
     want = harness._stack_deltas(cfg, inst, 5, range(2), layers)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * inst.w)
@@ -201,6 +201,13 @@ class TestFitSlope:
     def test_exact_one(self):
         rows = [(n, 2.0**-n) for n in range(2, 8)]
         assert fit_slope(rows)[0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_slow_trend_is_not_flat(self):
+        # a 2e-5 relative rise per step at mean 2^-10 is a trend, not a constant
+        rows = [(10, 2.0**-10), (11, 2.0**-10 * 1.00002), (12, 2.0**-10 * 1.00004)]
+        slope, _, r2 = fit_slope(rows)
+        assert slope == pytest.approx(np.log2(1.00004) / 2, rel=1e-6)
+        assert r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_rows(self):
         slope, intercept, r2 = fit_slope([(n, 0.25) for n in range(2, 6)])

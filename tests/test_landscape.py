@@ -122,7 +122,45 @@ class TestTransferTensor:
     def test_as_matrix_shape(self):
         rng = np.random.default_rng(5)
         h, rho, v1, v2, part = random_instance(3, rng)
-        assert transfer_tensor(h, rho, v1, v2, part).as_matrix().shape == (4, 4)
+        assert transfer_tensor(h, rho, v1, v2, part).matrix.shape == (4, 4)
+
+    @pytest.mark.parametrize("a_sites", [(0,), (0, 1)])
+    def test_non_hermitian_form_raises_at_construction(self, a_sites):
+        # no solver (exact, grid or Adam, m = 1 or 2) can be handed a non-Hermitian form
+        rng = np.random.default_rng(18)
+        h, rho, v1, v2, part = random_instance(3, rng, a_sites=a_sites)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            transfer_tensor(h + 1j * random_hermitian(part.d, rng), rho, v1, v2, part)
+        m = transfer_tensor(h, rho, v1, v2, part).matrix
+        with pytest.raises(ValueError, match="not Hermitian"):
+            landscape.TransferTensor(part, m + 1e-6 * max(1.0, np.abs(m).max()) * np.triu(np.ones_like(m), 1))
+
+    def test_matrix_is_read_only_and_tensor_views_it(self):
+        rng = np.random.default_rng(19)
+        h, rho, v1, v2, part = random_instance(3, rng, a_sites=(1, 2))
+        t = transfer_tensor(h, rho, v1, v2, part)
+        assert t.matrix.shape == (16, 16) and t.tensor.shape == (4, 4, 4, 4)
+        assert np.shares_memory(t.tensor, t.matrix)
+        for a in (t.matrix, t.tensor):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        with pytest.raises(DimensionError):
+            landscape.TransferTensor(part, t.tensor)
+
+    @pytest.mark.parametrize("a_sites", [(1,), (0, 2)])
+    def test_batched_evaluate_matches_per_gate_and_dense(self, a_sites):
+        rng = np.random.default_rng(20)
+        h, rho, v1, v2, part = random_instance(3, rng, a_sites=a_sites)
+        t = transfer_tensor(h, rho, v1, v2, part)
+        us = np.stack([haar_random_unitary(part.d_A, rng) for _ in range(6)]).reshape(2, 3, part.d_A, part.d_A)
+        vals = t.evaluate(us)
+        assert vals.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert isinstance(t.evaluate(us[idx]), float)
+            assert vals[idx] == pytest.approx(t.evaluate(us[idx]), abs=1e-12)
+            assert vals[idx] == pytest.approx(generic_cost(h, rho, assemble(v1, us[idx], v2, part)), abs=1e-9)
+        with pytest.raises(DimensionError):
+            t.evaluate(np.eye(2 * part.d_A))
 
     def test_dim_mismatch(self):
         part = BipartitePartition(3, (0,))
@@ -183,7 +221,7 @@ class TestExactOracle:
         # T with S = diag(...): B^a are orthogonal with tr(B^a+ B^b) = 2 delta_ab
         basis = np.stack([PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"])
         tensor = np.einsum("a,aij,akl->ijkl", np.asarray(diag), basis.conj(), basis) / 4
-        t = landscape.TransferTensor(BipartitePartition(2, (0,)), tensor)
+        t = landscape.TransferTensor(BipartitePartition(2, (0,)), tensor.reshape(4, 4))
         assert np.allclose(quaternion_form(t), np.diag(diag), atol=1e-15)
         res = variation_range_exact_m1(t)
         assert res.delta == pytest.approx(max(diag) - min(diag), abs=1e-14)
@@ -237,9 +275,8 @@ class TestExactOracle:
     def test_non_hermitian_h_raises(self):
         rng = np.random.default_rng(16)
         h, rho, v1, v2, part = random_instance(3, rng)
-        t = transfer_tensor(h + 1j * random_hermitian(part.d, rng), rho, v1, v2, part)
         with pytest.raises(ValueError, match="not Hermitian"):
-            variation_range_exact_m1(t)
+            transfer_tensor(h + 1j * random_hermitian(part.d, rng), rho, v1, v2, part)
 
     def test_matches_procrustes_oracle(self):
         # 240 instances: random A site, mixed rho, V1 and V2 each None or a program
@@ -315,6 +352,22 @@ class TestAdam:
         res = variation_range_adam(t, AdamConfig(iterations=0))
         assert res.delta == 0.0
         assert res.max_value == pytest.approx(t.evaluate(np.eye(2)), abs=1e-12)
+
+    @pytest.mark.parametrize("gate,a_sites", [("_gate_m1", (1,)), ("_gate_m2", (0, 2))])
+    def test_cost_and_grad_match_central_differences(self, gate, a_sites):
+        rng = np.random.default_rng(15)
+        h, rho, v1, v2, part = random_instance(3, rng, a_sites=a_sites)
+        t = transfer_tensor(h, rho, v1, v2, part)
+        gate = getattr(landscape, gate)
+        x = rng.uniform(-np.pi, np.pi, size=3 if part.m == 1 else 15)
+        val, grad = landscape._cost_and_grad(t, gate, x)
+        assert val == pytest.approx(t.evaluate(gate(x)[0]), abs=1e-12)
+        eps = 1e-6
+        for k in range(x.size):
+            e = np.zeros_like(x)
+            e[k] = eps
+            fd = (t.evaluate(gate(x + e)[0]) - t.evaluate(gate(x - e)[0])) / (2 * eps)
+            assert grad[k] == pytest.approx(fd, abs=1e-6 * max(1.0, np.abs(t.matrix).max())), k
 
     def test_m2_stays_below_width_and_above_m1(self):
         rng = np.random.default_rng(14)
