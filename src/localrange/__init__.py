@@ -15,20 +15,18 @@ from .circuits import (
 )
 from .harness import ExperimentConfig, ExperimentRow, fit_slope, run_layer_sweep, run_scaling
 from .landscape import (
-    AdamConfig,
     BoundReport,
     TransferTensor,
     VariationResult,
     bound_report,
     transfer_tensor,
-    variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
+    variation_range_polar,
 )
 from .linalg import BipartitePartition
 
 __all__ = [
-    "AdamConfig",
     "BipartitePartition",
     "BoundReport",
     "CircuitEnsemble",
@@ -45,9 +43,9 @@ __all__ = [
     "run_scaling",
     "sample_circuit",
     "transfer_tensor",
-    "variation_range_adam",
     "variation_range_exact_m1",
     "variation_range_grid",
+    "variation_range_polar",
 ]
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from .landscape import (
     bound_report,
     task_tight_bound,
     transfer_tensor,
-    variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
+    variation_range_polar,
 )
 from .linalg import BipartitePartition, random_density, random_hermitian, spectral_width
 
@@ -189,12 +189,12 @@ def _cmd_selftest(args) -> int:
         t = transfer_tensor(h, rho, None, None, pt)
         exact = variation_range_exact_m1(t)
         grid = variation_range_grid(t, resolution=32)
-        adam = variation_range_adam(t)
+        polar = variation_range_polar(t, np.random.default_rng(trial))
         ok &= _check(
             f"optimizer agreement, instance {trial}",
             abs(exact.delta - grid.delta) <= 0.05 * max(1.0, exact.delta)
-            and abs(exact.delta - adam.delta) <= 1e-3 * max(1.0, exact.delta),
-            f"exact={exact.delta:.6f} grid={grid.delta:.6f} adam={adam.delta:.6f}",
+            and abs(exact.delta - polar.delta) <= 1e-9 * max(1.0, exact.delta),
+            f"exact={exact.delta:.12f} grid={grid.delta:.6f} polar={polar.delta:.12f}",
         )
 
     cfg = ExperimentConfig(task="qsl", n_min=2, n_max=2, ensemble_config="both",

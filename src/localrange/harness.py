@@ -18,22 +18,21 @@ import numpy as np
 from .circuits import CircuitEnsemble, sample_circuit
 from .costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from .landscape import (
-    AdamConfig,
     BoundViolation,
     qsl_bound,
     task_tight_bound,
     theorem1_bound,
     transfer_tensor,
-    variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
+    variation_range_polar,
 )
 from .linalg import BipartitePartition, random_pure_state, spectral_width
 
 TASK_IDS = {"vqe": 0, "qae": 1, "qsl": 2}
 ENSEMBLE_CONFIGS = {"v1_design": 0, "v2_design": 1, "both": 2}
 DESIGN_KINDS = ("two_design", "one_design", "identity")
-OPTIMIZERS = ("exact", "adam", "grid")
+OPTIMIZERS = ("exact", "polar", "grid")
 
 # A sample holds O(d_A^2 2^n) amplitudes; at n = 16 a 10n-layer vqe sample
 # spends 0.8-1.0 s in the transfer contraction (2 shared cores, OpenBLAS).
@@ -99,8 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"samples: need at least 2, got {self.samples!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer: expected one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.m == 2 and self.optimizer != "adam":
-            raise ConfigError("optimizer: m=2 requires the adam optimizer")
+        if self.m == 2 and self.optimizer != "polar":
+            raise ConfigError("optimizer: m=2 requires the polar optimizer")
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,7 @@ def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers
         return [variation_range_exact_m1(t).delta for t in ts]
     if cfg.optimizer == "grid":
         return [variation_range_grid(t).delta for t in ts]
-    return [variation_range_adam(t, AdamConfig(seed=int(rng.integers(0, 2**63)))).delta
-            for t, rng in zip(ts, rngs)]
+    return [variation_range_polar(t, rng).delta for t, rng in zip(ts, rngs)]
 
 
 def _run_point(cfg: ExperimentConfig, n: int) -> ExperimentRow:
@@ -228,6 +226,8 @@ def run_scaling(cfg: ExperimentConfig) -> list[ExperimentRow]:
 def run_layer_sweep(cfg: ExperimentConfig, layer_list) -> dict[tuple[int, int], ExperimentRow]:
     """Rows keyed by (layers, n) for every layer count in layer_list."""
     layer_list = sorted({int(x) for x in layer_list})
+    if not layer_list:
+        raise ConfigError("layers: the layer list is empty")
     if any(x < 0 for x in layer_list):
         raise ConfigError(f"layers: counts must be nonnegative, got {layer_list}")
     if cfg.design_kind != "two_design":

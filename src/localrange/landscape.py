@@ -6,6 +6,11 @@ contracted once into the d_A^2 x d_A^2 matrix M, and each candidate local gate
 then costs O(d_A^4) to evaluate. For a single-qubit gate U = q0 I - i(q1 X + q2 Y + q3 Z),
 q a unit quaternion, the cost is a quadratic form q^T S q with S real
 symmetric 4 x 4, so the range max C - min C is lambda_max(S) - lambda_min(S).
+For any gate size the range is also found by polar ascent on M: shifted by a
+multiple of the identity, M is positive semidefinite, so each step
+U <- polar(reshape(vec(U)^T M')) never lowers the cost and needs no step size.
+That is the solver for two-qubit gates; the closed form and a grid scan cover
+one qubit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import schur
 
 from .circuits import (
     GateProgram,
@@ -22,10 +27,11 @@ from .circuits import (
     LocalUnitaryParams,
     apply_stack,
     euler_zyz,
-    rotation,
+    local_unitary,
     su4_generators,
 )
 from .costs import Observable
+from .haar import haar_random_unitary
 from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
 
 IMAG_RESIDUE_ATOL = 1e-10
@@ -83,6 +89,8 @@ def _state_columns(rho, d: int) -> tuple[np.ndarray, np.ndarray]:
     rm = as_matrix(rho_arr)
     if rm.shape[0] != d:
         raise DimensionError(f"rho dim {rm.shape[0]} != {d}")
+    if not is_hermitian(rm, atol=1e-10):
+        raise ValueError("density matrix must be Hermitian")
     w, v = np.linalg.eigh((rm + rm.conj().T) / 2)
     keep = np.abs(w) > d * np.finfo(float).eps * max_abs(w)  # numerical rank
     return v[:, keep], w[keep]
@@ -268,115 +276,99 @@ def variation_range_grid(t: TransferTensor, resolution: int = GRID_DEFAULT_RESOL
     )
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    iterations: int = 300
-    restarts: int = 3
-    grad_tol: float = 1e-6
-    seed: int = 0
+# The polar ascent's fixed settings: restarts (the identity, then Haar draws),
+# the step cap of each restart, and the relative gain still to come at which one stops.
+POLAR_RESTARTS = 8
+POLAR_MAX_STEPS = 5000
+POLAR_GAIN_RTOL = 1e-12
 
 
-def _gate_m1(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """U = Rz(phi) Ry(theta) Rz(alpha) and its derivatives in the three angles."""
-    phi, theta, alpha = x
-    rz1, ry, rz2 = rotation("z", phi), rotation("y", theta), rotation("z", alpha)
-    u = rz1 @ ry @ rz2
-    return u, (
-        -0.5j * PAULI["Z"] @ u,
-        rz1 @ (-0.5j * PAULI["Y"]) @ ry @ rz2,
-        u @ (-0.5j * PAULI["Z"]),
-    )
+def _polar_ascent(p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Maximise f(U) = vec(U)^T P vec(U)* over unitaries, P positive semidefinite.
 
-
-def _gate_m2(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """U = exp(-i sum_k x_k G_k) and its derivatives in the 15 coefficients."""
-    gens = su4_generators()
-    a = -1j * sum(c * g for c, g in zip(x, gens))
-    return expm(a), tuple(expm_frechet(a, -1j * g)[1] for g in gens)
-
-
-def _cost_and_grad(t: TransferTensor, gate, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """C(U(x)) and its gradient, dC = 2 Re(vec(dU)^T M vec(U)*), for the gate map ``gate``."""
-    u, dus = gate(x)
-    mu = t.matrix @ u.conj().ravel()
-    grad = np.array([2.0 * (du.ravel() @ mu).real for du in dus])
-    return float((u.ravel() @ mu).real), grad
-
-
-def _adam_run(fg, x0: np.ndarray, sign: float, cfg: AdamConfig) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize sign * cost starting from x0. Returns (x, best value, iters, converged)."""
-    x = x0.astype(float).copy()
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
-    val, grad = fg(x)
-    best_x, best_val = x.copy(), sign * val
-    it, converged = 0, False
-    for it in range(1, cfg.iterations + 1):
-        g = sign * grad
-        if float(np.linalg.norm(g)) < cfg.grad_tol:
-            converged = True
-            it -= 1
-            break
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1**it)
-        vhat = v / (1 - cfg.beta2**it)
-        x = x + cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
-        val, grad = fg(x)
-        if sign * val > best_val:
-            best_val, best_x = sign * val, x.copy()
-    else:
-        converged = float(np.linalg.norm(sign * grad)) < cfg.grad_tol
-    return best_x, best_val, it, converged
-
-
-def variation_range_adam(t: TransferTensor, cfg: AdamConfig = AdamConfig()) -> VariationResult:
-    """Gradient-ascent/descent estimate of the range, best of several restarts.
-
-    Restart 0 starts at the zero parameter vector (U = I); subsequent restarts
-    are drawn uniformly. Never raises on non-convergence; the flag reports it.
+    ``p`` is a (k, d^2, d^2) stack of forms and ``u`` a (r, d, d) stack of starts;
+    every form runs from every start. f is convex, so f(U') >= f(U) + 2 Re tr(G^+ (U' - U))
+    with G = reshape(vec(U)^T P), and U' = polar(G) maximises the right side: each
+    step never lowers f. The gains shrink geometrically near a maximum, at a rate
+    that can be close to 1, so a run stops when the gain still to come at the
+    last rate falls to POLAR_GAIN_RTOL * f, when a step gains nothing, or after
+    POLAR_MAX_STEPS steps. Returns (gates (k, r, d, d), f (k, r), steps
+    summed over the runs, whether every run stopped on its gain).
     """
-    m = t.part.m
-    if m not in (1, 2):
-        raise DimensionError("gradient optimizer supports one- or two-qubit subsystems")
-    gate = _gate_m1 if m == 1 else _gate_m2
+    (k, d2, _), (r, d, _) = p.shape, u.shape
+    form = np.repeat(np.arange(k), r)  # the runs are (form, start) pairs, form-major
+    x = np.tile(u.reshape(r, d2), (k, 1))
+    g = (x[:, None] @ p[form])[:, 0]
+    f = (g * x.conj()).sum(-1).real
+    last_gain = np.full(k * r, np.inf)
+    run = np.arange(k * r)  # the runs still going
+    steps = 0
+    for _ in range(POLAR_MAX_STEPS):
+        w, _, vh = np.linalg.svd(g[run].reshape(-1, d, d))
+        x_new = (w @ vh).reshape(-1, d2)
+        g_new = (x_new[:, None] @ p[form[run]])[:, 0]
+        f_new = (g_new * x_new.conj()).sum(-1).real
+        gain = f_new - f[run]
+        # the gains fall geometrically, at the rate of the last two, so all that
+        # is left to gain is gain / (1 - rate)
+        rate = np.maximum(gain, 0.0) / np.maximum(last_gain[run], np.maximum(gain, 0.0))
+        steps += run.size
+        x[run], g[run], f[run], last_gain[run] = x_new, g_new, f_new, gain
+        run = run[(gain > 0) & (gain > POLAR_GAIN_RTOL * f_new * (1 - rate))]
+        if not run.size:
+            break
+    return x.reshape(k, r, d, d), f.reshape(k, r), steps, not run.size
 
-    def fg(x):
-        return _cost_and_grad(t, gate, x)
 
-    dim = 3 if m == 1 else 15
-    rng = np.random.default_rng(cfg.seed)
-    inits = [np.zeros(dim)]
-    inits += [rng.uniform(-np.pi, np.pi, size=dim) for _ in range(max(0, cfg.restarts - 1))]
-    total_iters = 0
-    best = {}
-    all_converged = True
-    for sign, key in ((1.0, "max"), (-1.0, "min")):
-        results = []
-        for x0 in inits:
-            x, sval, iters, conv = _adam_run(fg, x0, sign, cfg)
-            total_iters += iters
-            results.append((sval, x, conv))
-        sval, x, conv = max(results, key=lambda r: r[0])
-        best[key] = (sign * sval, x)
-        all_converged = all_converged and conv
-    max_val, x_max = best["max"]
-    min_val, x_min = best["min"]
-    if cfg.iterations == 0:
-        max_val = min_val = fg(np.zeros(dim))[0]
-        x_max = x_min = np.zeros(dim)
+def _local_params(u: np.ndarray) -> LocalUnitaryParams:
+    """Parameters naming U up to a global phase, which the cost does not see.
+
+    m = 1: ZYZ angles of the quaternion of U det(U)^(-1/2). m = 2: the 15 Pauli
+    coefficients of the traceless part of a Hermitian log G of U det(U)^(-1/4),
+    exp(-iG) = Z exp(i diag(theta)) Z^+ from the complex Schur form (the Schur form
+    of a unitary is diagonal).
+    """
+    d = u.shape[0]
+    u = u * np.linalg.det(u) ** (-1.0 / d)
+    if d == 2:
+        q = np.einsum("aij,ij->a", _QUATERNION_BASIS.conj(), u).real / 2
+        return _zyz_from_quaternion(q / np.linalg.norm(q))
+    if d == 4:
+        tri, z = schur(u, output="complex")
+        g = -(z * np.angle(np.diag(tri))) @ z.conj().T
+        return LocalUnitaryParams([np.einsum("ij,ji->", gen, g).real / 4 for gen in su4_generators()])
+    raise DimensionError("local gate parameters cover one- or two-qubit subsystems")
+
+
+def variation_range_polar(t: TransferTensor, rng: np.random.Generator) -> VariationResult:
+    """Polar ascent on M for the maximum and on -M for the minimum, any d_A.
+
+    On unitaries vec(U)^T M vec(U)* differs from the form of M - lambda_min I
+    (or lambda_max I - M, for the minimum) by a constant, and those two are
+    positive semidefinite, so `_polar_ascent` applies. Both run from the identity
+    and from POLAR_RESTARTS - 1 Haar gates drawn from ``rng``; the best run of each
+    is read back as parameters, and its value is C at the gate they name.
+    ``converged``: every run stopped on its gain.
+    """
+    d_a = t.part.d_A
+    ev = np.linalg.eigvalsh(t.matrix)
+    eye = np.eye(d_a * d_a)
+    forms = np.stack([t.matrix - ev[0] * eye, ev[-1] * eye - t.matrix])
+    starts = np.concatenate([np.eye(d_a, dtype=complex)[None],
+                             haar_random_unitary(d_a, rng, size=POLAR_RESTARTS - 1)])
+    gates, f, steps, converged = _polar_ascent(forms, starts)
+    best = np.argmax(f, axis=1)
+    argmax, argmin = (_local_params(gates[s, best[s]]) for s in (0, 1))
+    max_value, min_value = (t.evaluate(local_unitary(a)) for a in (argmax, argmin))
     return VariationResult(
-        max_value=max_val,
-        min_value=min_val,
-        delta=max_val - min_val,
-        argmax=LocalUnitaryParams(x_max),
-        argmin=LocalUnitaryParams(x_min),
-        method="adam",
-        iterations=total_iters,
-        converged=all_converged,
+        max_value=max_value,
+        min_value=min_value,
+        delta=max_value - min_value,
+        argmax=argmax,
+        argmin=argmin,
+        method="polar",
+        iterations=steps,
+        converged=converged,
     )
 
 

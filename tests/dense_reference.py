@@ -11,10 +11,16 @@ ranks and the tight bound are computed from the dense H, as the oracle for
 their closed forms. ``apply_gatewise`` applies a gate list one gate at a
 time, as the oracle for the layer-fused ``GateProgram.apply``, and
 ``sample_gates`` draws each circuit ensemble as a gate list, as the oracle for
-``sample_circuit``, which draws the fused factors directly.
+``sample_circuit``, which draws the fused factors directly. ``variation_range_adam``,
+gradient ascent in the ZYZ angles (m = 1) or the 15 su(4) coefficients (m = 2)
+with analytic gradients through ``expm_frechet``, is the oracle for the polar
+solver.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.linalg import expm, expm_frechet
 
 from localrange.circuits import (
     ROTATION_KINDS,
@@ -27,7 +33,7 @@ from localrange.circuits import (
     su4_generators,
 )
 from localrange.costs import qae_hamiltonian
-from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, VariationResult
+from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, TransferTensor, VariationResult
 from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, max_abs, to_a_first
 
 
@@ -336,3 +342,131 @@ def tight_bound(h, part):
     norm = float(np.abs(ev - np.trace(hm).real / d).max())
     factor = max(n_a + 2 * n_ab, part.d_A * np.sqrt(d / (d - 1)))
     return float(factor * norm * np.sqrt(part.d_A / part.d_B))
+
+
+@dataclass(frozen=True)
+class AdamConfig:
+    learning_rate: float = 0.1
+    beta1: float = 0.9
+    beta2: float = 0.999
+    iterations: int = 300
+    restarts: int = 3
+    grad_tol: float = 1e-6
+    seed: int = 0
+
+
+def _gate_m1(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U = Rz(phi) Ry(theta) Rz(alpha) and its derivatives in the three angles."""
+    phi, theta, alpha = x
+    rz1, ry, rz2 = rotation("z", phi), rotation("y", theta), rotation("z", alpha)
+    u = rz1 @ ry @ rz2
+    return u, (
+        -0.5j * PAULI["Z"] @ u,
+        rz1 @ (-0.5j * PAULI["Y"]) @ ry @ rz2,
+        u @ (-0.5j * PAULI["Z"]),
+    )
+
+
+def _gate_m2(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U = exp(-i sum_k x_k G_k) and its derivatives in the 15 coefficients."""
+    gens = su4_generators()
+    a = -1j * sum(c * g for c, g in zip(x, gens))
+    return expm(a), tuple(expm_frechet(a, -1j * g)[1] for g in gens)
+
+
+def _cost_and_grad(t: TransferTensor, gate, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """C(U(x)) and its gradient, dC = 2 Re(vec(dU)^T M vec(U)*), for the gate map ``gate``."""
+    u, dus = gate(x)
+    mu = t.matrix @ u.conj().ravel()
+    grad = np.array([2.0 * (du.ravel() @ mu).real for du in dus])
+    return float((u.ravel() @ mu).real), grad
+
+
+def _adam_run(fg, x0: np.ndarray, sign: float, cfg: AdamConfig) -> tuple[np.ndarray, float, int, bool]:
+    """Maximize sign * cost starting from x0. Returns (x, best value, iters, converged)."""
+    x = x0.astype(float).copy()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    val, grad = fg(x)
+    best_x, best_val = x.copy(), sign * val
+    it, converged = 0, False
+    for it in range(1, cfg.iterations + 1):
+        g = sign * grad
+        if float(np.linalg.norm(g)) < cfg.grad_tol:
+            converged = True
+            it -= 1
+            break
+        m = cfg.beta1 * m + (1 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        mhat = m / (1 - cfg.beta1**it)
+        vhat = v / (1 - cfg.beta2**it)
+        x = x + cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+        val, grad = fg(x)
+        if sign * val > best_val:
+            best_val, best_x = sign * val, x.copy()
+    else:
+        converged = float(np.linalg.norm(sign * grad)) < cfg.grad_tol
+    return best_x, best_val, it, converged
+
+
+def variation_range_adam(t: TransferTensor, cfg: AdamConfig = AdamConfig()) -> VariationResult:
+    """Gradient-ascent/descent estimate of the range, best of several restarts.
+
+    Restart 0 starts at the zero parameter vector (U = I); subsequent restarts
+    are drawn uniformly. Never raises on non-convergence; the flag reports it.
+    """
+    m = t.part.m
+    if m not in (1, 2):
+        raise DimensionError("gradient optimizer supports one- or two-qubit subsystems")
+    gate = _gate_m1 if m == 1 else _gate_m2
+
+    def fg(x):
+        return _cost_and_grad(t, gate, x)
+
+    dim = 3 if m == 1 else 15
+    rng = np.random.default_rng(cfg.seed)
+    inits = [np.zeros(dim)]
+    inits += [rng.uniform(-np.pi, np.pi, size=dim) for _ in range(max(0, cfg.restarts - 1))]
+    total_iters = 0
+    best = {}
+    all_converged = True
+    for sign, key in ((1.0, "max"), (-1.0, "min")):
+        results = []
+        for x0 in inits:
+            x, sval, iters, conv = _adam_run(fg, x0, sign, cfg)
+            total_iters += iters
+            results.append((sval, x, conv))
+        sval, x, conv = max(results, key=lambda r: r[0])
+        best[key] = (sign * sval, x)
+        all_converged = all_converged and conv
+    max_val, x_max = best["max"]
+    min_val, x_min = best["min"]
+    if cfg.iterations == 0:
+        max_val = min_val = fg(np.zeros(dim))[0]
+        x_max = x_min = np.zeros(dim)
+    return VariationResult(
+        max_value=max_val,
+        min_value=min_val,
+        delta=max_val - min_val,
+        argmax=LocalUnitaryParams(x_max),
+        argmin=LocalUnitaryParams(x_min),
+        method="adam",
+        iterations=total_iters,
+        converged=all_converged,
+    )
+
+
+def restricted_m1_range(t):
+    """Exact range of an m = 2 form over the gates u x I: the quaternion form of u
+    on A's first qubit, S_ab = vec(B_a x I)^T M vec(B_b x I)*, a lower bound on the range."""
+    quat = [PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"]
+    basis = np.stack([np.kron(b, np.eye(2)).ravel() for b in quat])
+    ev = np.linalg.eigvalsh((basis @ t.matrix @ basis.conj().T).real)
+    return float(ev[-1] - ev[0])
+
+
+def certificate(t):
+    """d_A (lambda_max - lambda_min) of M: C = vec(U)^T M vec(U)* with |vec U|^2 = d_A
+    bounds every range."""
+    ev = np.linalg.eigvalsh(t.matrix)
+    return float(t.part.d_A * (ev[-1] - ev[0]))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import AdamConfig, variation_range_adam
 from localrange.circuits import GateSpec
 from localrange.costs import bures_fidelity, fidelity_rank_bound
 from localrange.haar import (
@@ -22,14 +23,13 @@ from localrange.haar import (
 )
 from localrange.harness import ExperimentConfig, emit_csv, fit_slope, run_layer_sweep, run_scaling
 from localrange.landscape import (
-    AdamConfig,
     ParameterizedCircuit,
     parameter_shift_derivative,
     telescoping_bound_check,
     transfer_tensor,
-    variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
+    variation_range_polar,
 )
 from localrange.linalg import (
     BipartitePartition,
@@ -88,7 +88,7 @@ def test_criterion_2_optimizer_triangle():
     start = time.time()
     rng = np.random.default_rng(202)
     adam_hits = 0
-    grid_ok = True
+    grid_ok = polar_ok = True
     for trial in range(100):
         n = int(rng.integers(3, 7))
         part = BipartitePartition(n, (0,))
@@ -103,15 +103,19 @@ def test_criterion_2_optimizer_triangle():
         exact = variation_range_exact_m1(t).delta
         grid = variation_range_grid(t, 64).delta
         adam = variation_range_adam(t, AdamConfig(seed=trial)).delta
+        polar = variation_range_polar(t, np.random.default_rng(trial)).delta
         if abs(exact - grid) > 0.01 * w:
             grid_ok = False
+        if abs(exact - polar) > 1e-9 * w:
+            polar_ok = False
         if abs(exact - adam) <= 1e-3 * w:
             adam_hits += 1
     elapsed = time.time() - start
     report(
-        "criterion 2: exact/grid/adam triangle on 100 random instances",
-        grid_ok and adam_hits >= 95 and elapsed < 300,
-        f"grid all within 1% of w, adam hits {adam_hits}/100, {elapsed:.1f}s",
+        "criterion 2: exact/grid/adam/polar agreement on 100 random instances",
+        grid_ok and polar_ok and adam_hits >= 95 and elapsed < 300,
+        f"grid all within 1% of w, polar all within 1e-9 w: {polar_ok}, "
+        f"adam hits {adam_hits}/100, {elapsed:.1f}s",
     )
 
 

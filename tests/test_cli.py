@@ -169,6 +169,27 @@ def test_layers_subcommand(capsys):
     assert "# layers=2 n=2" in out
 
 
+def test_empty_layer_list_exits_one(capsys):
+    # an empty list used to exit 0 with a header-only CSV
+    for layer_list in ("", " , "):
+        code, out, err = run_cli(capsys, "layers", "--task", "vqe", "--n", "3", "--samples", "2",
+                                 "--layer-list", layer_list)
+        assert code == 1
+        assert err.startswith("localrange: error: layers:"), err
+        assert out == ""
+
+
+def test_m2_scaling_runs_polar(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--m", "2",
+                           "--optimizer", "polar", "--samples", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("qsl,3,2,both,2,")
+    code, out, err = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--m", "2",
+                             "--optimizer", "adam", "--samples", "2")
+    assert code == 1
+    assert "--optimizer" in err and out == ""
+
+
 def test_bound_violation_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(harness, "theorem1_bound", lambda w, n, m: -1.0)
     code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "2", "--samples", "2")

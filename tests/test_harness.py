@@ -60,9 +60,11 @@ class TestConfigValidation:
         assert small_cfg(design_kind=kind).layers is None
         assert small_cfg(layers=0).layers == 0
 
-    def test_m2_needs_adam(self):
-        with pytest.raises(ConfigError, match="optimizer"):
-            small_cfg(m=2, n_min=3, n_max=3, optimizer="exact")
+    def test_m2_needs_polar(self):
+        for optimizer in ("exact", "grid", "adam"):
+            with pytest.raises(ConfigError, match="optimizer"):
+                small_cfg(m=2, n_min=3, n_max=3, optimizer=optimizer)
+        assert small_cfg(m=2, n_min=3, n_max=3, optimizer="polar").optimizer == "polar"
 
 
 class TestRunScaling:
@@ -166,9 +168,9 @@ def test_n14_runs_matrix_free_and_within_bounds():
 
 def test_m2_row_mean_within_its_tight_bound():
     # measured on the m = 1 constants this row read 0.466 against 0.408; the
-    # dense formula gives 0.710. Adam only underestimates a range.
+    # dense formula gives 0.710. A local ascent only underestimates a range.
     cfg = ExperimentConfig(task="qae", n_min=7, n_max=7, m=2, ensemble_config="v2_design",
-                           optimizer="adam", samples=2, seed=7)
+                           optimizer="polar", samples=2, seed=7)
     row = run_scaling(cfg)[0]
     mean = row.mean_delta_over_w * harness.setup_task("qae", 7, 2).w
     assert mean <= row.bound_tight
@@ -181,6 +183,10 @@ class TestLayerSweep:
         assert set(out) == {(0, 2), (3, 2)}
         again = run_layer_sweep(cfg, [3, 0])
         assert out == again
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="^layers: .*empty"):
+            run_layer_sweep(small_cfg(), [])
 
     def test_requires_two_design(self):
         with pytest.raises(ConfigError):

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from dense_reference import (
+    AdamConfig,
     assemble,
+    certificate,
     coupling_rank,
     generic_cost,
     pauli_word_matrix,
     procrustes_range_m1,
+    restricted_m1_range,
     tight_bound,
     transfer_tensor_dense,
+    variation_range_adam,
 )
 from localrange import harness, landscape
 from localrange.circuits import (
@@ -27,7 +32,6 @@ from localrange.circuits import (
 from localrange.costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from localrange.haar import haar_random_unitary
 from localrange.landscape import (
-    AdamConfig,
     BoundViolation,
     ParameterizedCircuit,
     coupling_ranks,
@@ -43,9 +47,9 @@ from localrange.landscape import (
     tight_bound_formula,
     transfer_tensor,
     variance_bound,
-    variation_range_adam,
     variation_range_exact_m1,
     variation_range_grid,
+    variation_range_polar,
 )
 from localrange.linalg import (
     PAULI,
@@ -126,7 +130,7 @@ class TestTransferTensor:
 
     @pytest.mark.parametrize("a_sites", [(0,), (0, 1)])
     def test_non_hermitian_form_raises_at_construction(self, a_sites):
-        # no solver (exact, grid or Adam, m = 1 or 2) can be handed a non-Hermitian form
+        # no solver (exact, grid or polar, m = 1 or 2) can be handed a non-Hermitian form
         rng = np.random.default_rng(18)
         h, rho, v1, v2, part = random_instance(3, rng, a_sites=a_sites)
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -278,6 +282,15 @@ class TestExactOracle:
         with pytest.raises(ValueError, match="not Hermitian"):
             transfer_tensor(h + 1j * random_hermitian(part.d, rng), rho, v1, v2, part)
 
+    def test_non_hermitian_rho_raises(self):
+        # rho + iK used to be replaced by its Hermitian part, rho, without a word
+        rng = np.random.default_rng(20)
+        h, rho, v1, v2, part = random_instance(3, rng)
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            transfer_tensor(h, rho + 1j * random_hermitian(part.d, rng), v1, v2, part)
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            transfer_tensor(h, [rho, rho + 1e-8j * random_hermitian(part.d, rng)], v1, v2, part)
+
     def test_matches_procrustes_oracle(self):
         # 240 instances: random A site, mixed rho, V1 and V2 each None or a program
         rng = np.random.default_rng(17)
@@ -358,9 +371,9 @@ class TestAdam:
         rng = np.random.default_rng(15)
         h, rho, v1, v2, part = random_instance(3, rng, a_sites=a_sites)
         t = transfer_tensor(h, rho, v1, v2, part)
-        gate = getattr(landscape, gate)
+        gate = getattr(dense_reference, gate)
         x = rng.uniform(-np.pi, np.pi, size=3 if part.m == 1 else 15)
-        val, grad = landscape._cost_and_grad(t, gate, x)
+        val, grad = dense_reference._cost_and_grad(t, gate, x)
         assert val == pytest.approx(t.evaluate(gate(x)[0]), abs=1e-12)
         eps = 1e-6
         for k in range(x.size):
@@ -378,6 +391,104 @@ class TestAdam:
         w = spectral_width(h)
         assert 0.0 <= res.delta <= w + 1e-9
         assert t2.evaluate(local_unitary(res.argmax)) == pytest.approx(res.max_value, abs=1e-9)
+
+
+def trivial_z_tensor(part):
+    """H = Z on A's first qubit, rho = |0...0>: C ranges over [-1, 1] for any gate size."""
+    e0 = np.zeros(part.d)
+    e0[0] = 1.0
+    return transfer_tensor(pauli_word_matrix("Z" + "I" * (part.n - 1)), e0, None, None, part)
+
+
+class TestPolar:
+    @pytest.mark.parametrize("a_sites", [(0,), (0, 1)])
+    def test_trivial_instance(self, a_sites):
+        res = variation_range_polar(trivial_z_tensor(BipartitePartition(3, a_sites)),
+                                    np.random.default_rng(0))
+        assert res.method == "polar" and res.converged
+        assert res.max_value == pytest.approx(1.0, abs=1e-12)
+        assert res.min_value == pytest.approx(-1.0, abs=1e-12)
+        assert res.delta == res.max_value - res.min_value
+
+    def test_m1_matches_exact(self):
+        rng = np.random.default_rng(22)
+        for trial in range(20):
+            h, rho, v1, v2, part = random_instance(3, rng)
+            t = transfer_tensor(h, rho, v1, v2, part)
+            res = variation_range_polar(t, rng)
+            assert res.converged, trial
+            assert abs(res.delta - variation_range_exact_m1(t).delta) <= 1e-9 * spectral_width(h), trial
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_parameters_name_the_gate(self, d):
+        # local_unitary(params) is the gate up to a global phase: |tr(U^+ V)| = d
+        rng = np.random.default_rng(23)
+        gates = list(haar_random_unitary(d, rng, size=50))
+        gates += [np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d))), -np.eye(d), 1j * np.eye(d)]
+        for u in gates:
+            v = local_unitary(landscape._local_params(u))
+            assert abs(np.trace(u.conj().T @ v)) == pytest.approx(d, abs=1e-10)
+
+    def test_restarts_come_from_the_rng(self):
+        rng = np.random.default_rng(24)
+        h, rho, v1, v2, _ = random_instance(4, rng)
+        t = transfer_tensor(h, rho, v1, v2, BipartitePartition(4, (0, 1)))
+        a, b = (variation_range_polar(t, np.random.default_rng(5)) for _ in range(2))
+        assert a == b
+
+    def test_m3_rejected(self):
+        with pytest.raises(DimensionError):
+            variation_range_polar(trivial_z_tensor(BipartitePartition(4, (0, 1, 2))),
+                                  np.random.default_rng(0))
+
+    def test_converged_means_near_the_limit(self, monkeypatch):
+        # vqe n = 3 instances whose gains shrink by about 0.986 a step: stopping on the
+        # last gain alone left these ranges 1.2e-9 to 1.6e-9 short of the limit
+        inst = harness.setup_task("vqe", 3, 2)
+        for seed in (5, 15, 23):
+            rng = np.random.default_rng(seed)
+            rho = random_pure_state(8, rng)
+            v2 = sample_circuit(CircuitEnsemble("hardware_efficient", 3, 3), rng)
+            t = transfer_tensor(inst.h, rho, None, v2, inst.part)
+            res = variation_range_polar(t, np.random.default_rng(0))
+            with monkeypatch.context() as mp:  # run every restart until a step gains nothing
+                mp.setattr(landscape, "POLAR_GAIN_RTOL", 0.0)
+                mp.setattr(landscape, "POLAR_MAX_STEPS", 100_000)
+                limit = variation_range_polar(t, np.random.default_rng(0))
+            assert res.converged, seed
+            assert abs(res.delta - limit.delta) <= 1e-9, seed
+
+    def test_m2_not_below_adam(self):
+        # time budget about 20 s on 2 shared cores: the Adam oracle takes 5-7 s per
+        # instance, polar about 0.2 s
+        rng = np.random.default_rng(25)
+        for task, n in (("vqe", 4), ("qae", 5), ("qsl", 6)):
+            inst = harness.setup_task(task, n, 2)
+            ens = CircuitEnsemble("hardware_efficient", n, layers=n)
+            t = transfer_tensor(inst.h, random_pure_state(2**n, rng), sample_circuit(ens, rng),
+                                sample_circuit(ens, rng), inst.part)
+            polar = variation_range_polar(t, rng)
+            adam = variation_range_adam(t, AdamConfig(seed=n))
+            assert polar.delta >= adam.delta - 1e-9, (task, n, polar.delta, adam.delta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(harness.TASK_IDS)), st.integers(3, 6),
+       st.booleans(), st.booleans(), st.booleans())
+def test_polar_m2_bracketed_attained_and_unbeaten(seed, task, n, pure, with_v1, with_v2):
+    rng = np.random.default_rng(seed)
+    inst = harness.setup_task(task, n, 2)
+    rho = random_pure_state(2**n, rng) if pure else random_density(2**n, rng)
+    ens = CircuitEnsemble("hardware_efficient", n, layers=int(rng.integers(1, 2 * n + 1)))
+    v1, v2 = (sample_circuit(ens, rng) if side else None for side in (with_v1, with_v2))
+    t = transfer_tensor(inst.h, rho, v1, v2, inst.part)
+    res = variation_range_polar(t, rng)
+    assert restricted_m1_range(t) - 1e-9 <= res.delta <= certificate(t) + 1e-9
+    assert abs(t.evaluate(local_unitary(res.argmax)) - res.max_value) <= 1e-9
+    assert abs(t.evaluate(local_unitary(res.argmin)) - res.min_value) <= 1e-9
+    vals = t.evaluate(haar_random_unitary(4, rng, size=300))
+    assert vals.max() <= res.max_value + 1e-9
+    assert vals.min() >= res.min_value - 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -668,6 +779,13 @@ def test_expectation_rejects_bad_input():
         expectation(heisenberg(3), np.ones(4) / 2, None)
     with pytest.raises(ValueError, match="imaginary"):
         expectation(np.array([[0, 1], [0, 0]]), np.array([1, 1j]) / np.sqrt(2), None)
+
+
+def test_expectation_rejects_non_hermitian_rho():
+    rng = np.random.default_rng(21)
+    rho = random_density(8, rng)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        expectation(heisenberg(3), rho + 1j * random_hermitian(8, rng), None)
 
 
 def test_parameterized_circuit_forms_no_dense_matrix(monkeypatch):
