@@ -15,6 +15,7 @@ Only ``np.asarray`` (small-n checks) forms the 2^n x 2^n matrix.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,6 +127,9 @@ def euler_zyz(phi: float, theta: float, alpha: float) -> np.ndarray:
 FUSION_BLOCK_QUBITS = 5
 # Block matrices built at once per qubit block, over a stack's programs and segments.
 _FUSION_CHUNK = 16
+# Largest max |F+ F - I| accepted for a program's 2 x 2 factors; a product of
+# k exact rotations is off by about k * 1e-16.
+UNITARY_ATOL = 1e-10
 
 
 def _qubit_blocks(n: int) -> list[tuple[int, int]]:
@@ -168,8 +172,9 @@ class GateProgram:
     """A circuit on n qubits as its fused segments, first segment first.
 
     Segment s is the tensor product over qubits q of ``factors[s, q]`` (kept as
-    a read-only (segments, n, 2, 2) copy), then CZ on each pair in
-    ``cz_runs[s]``. ``from_gates`` parses a gate list into this form.
+    a read-only (segments, n, 2, 2) copy, each factor unitary within
+    ``UNITARY_ATOL``), then CZ on each pair in ``cz_runs[s]``. ``from_gates``
+    parses a gate list into this form and ``adjoint`` gives the program of U+.
     ``np.asarray(program)`` is the dense unitary, up to ``linalg.MAX_DIM``.
     """
 
@@ -186,6 +191,14 @@ class GateProgram:
         for a, b in {pair for run in set(cz_runs) for pair in run}:
             if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
                 raise ValueError(f"cz pair ({a}, {b}) needs two different qubits below n={self.n}")
+        # max |F+ F - I| of each F = [[a, b], [c, d]]: its column norms and their overlap
+        a, b, c, d = factors.reshape(-1, 4).T
+        err = np.maximum.reduce([abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
+                                 abs(a.conj() * b + c.conj() * d)])
+        if err.size and err.max() > UNITARY_ATOL:
+            s, q = divmod(int(err.argmax()), self.n)
+            raise ValueError(f"factor of segment {s}, qubit {q} is not unitary: "
+                             f"max |F+ F - I| = {err.max():.3e} > {UNITARY_ATOL}")
         factors.flags.writeable = False
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "cz_runs", cz_runs)
@@ -230,6 +243,25 @@ class GateProgram:
                 s, q = seg[at], qubit[at]
                 factors[s, q] = mats[at] if k == 0 else mats[at] @ factors[s, q]
         return cls(n, factors, cz_runs)
+
+    def adjoint(self) -> GateProgram:
+        """The program of U+: the factors conjugate-transposed in reverse order, each
+        segment closed by the CZ run that preceded it in U (CZ is its own inverse).
+
+        U+ starts with U's last CZ run, so a leading identity-factor segment carries it
+        when that run is non-empty. The adjoints of a stack share their CZ runs. The
+        factors were checked unitary when U was built, so U+ is not checked again.
+        """
+        factors = self.factors[::-1].conj().swapaxes(-1, -2)
+        cz_runs = self.cz_runs[-2::-1] + ((),) if self.cz_runs else ()
+        if self.cz_runs and self.cz_runs[-1]:
+            factors = np.concatenate([np.broadcast_to(np.eye(2), (1, self.n, 2, 2)), factors])
+            cz_runs = (self.cz_runs[-1],) + cz_runs
+        factors.flags.writeable = False
+        adjoint = copy.copy(self)
+        object.__setattr__(adjoint, "factors", factors)
+        object.__setattr__(adjoint, "cz_runs", cz_runs)
+        return adjoint
 
     def apply(self, states) -> np.ndarray:
         """U applied to a (2^n,) vector or to each column of a (2^n, k) block."""

@@ -38,7 +38,9 @@ OPTIMIZERS = ("exact", "polar", "grid")
 # spends 0.8-1.0 s in the transfer contraction (2 shared cores, OpenBLAS).
 MAX_QUBITS = 16
 # A point's samples run through V1, V2 and H in stacks of at least one sample and at
-# most this many amplitudes in the V2 block (samples x 2^n x d_A^2; inputs are pure).
+# most this many amplitudes in the general path's V2 block (samples x 2^n x d_A^2;
+# inputs are pure). qsl's rank-one path sends one vector per sample through V2+,
+# but splits its stacks by the same count.
 _STACK_AMPLITUDES = 2**14
 
 CSV_HEADER = (

@@ -141,6 +141,11 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
         T_ijkl = sum_r w_r <e_k x psi_r[l]| V2+ H V2 |e_i x psi_r[j]>,
 
     so V1 acts on rank(rho) vectors and V2 and H on d_A^2 rank(rho) vectors.
+    A rank-one ``Observable`` (H = I - |phi><phi|) with V2 None or gate programs
+    instead sends one vector, chi = V2+ phi, through the adjoint programs, and
+
+        T_ijkl = sum_r w_r (delta_ik <psi_r[l]|psi_r[j]> - <chi[i]|psi_r[j]> conj<chi[k]|psi_r[l]>).
+
     ``rho`` is a density matrix or a pure-state vector, ``v1``/``v2`` None
     (identity), a GateProgram or a dense matrix, ``h`` an Observable or a dense
     matrix. Lists of S states of one rank or S GatePrograms sharing their CZ
@@ -161,6 +166,18 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
     # psi[j, b, s, r] with the A qubits leading
     psi = _apply_operator(v1, np.broadcast_to(cols, (stack, d, rank)))
     psi = to_a_first(psi.transpose(1, 0, 2), part).reshape(d_a, d_b, stack, rank)
+    rank_one = (isinstance(h, Observable) and h.kind == "rank_one"
+                and (v2 is None or isinstance(v2, (GateProgram, list))))
+    m = (_rank_one_matrices if rank_one else _general_matrices)(h, psi, weights, v2, part)
+    if not sizes:
+        return TransferTensor(part, matrix=m[0])
+    return [TransferTensor(part, matrix=mk) for mk in m]
+
+
+def _general_matrices(h, psi, weights, v2, part: BipartitePartition) -> np.ndarray:
+    """The (S, d_A^2, d_A^2) stack of M from psi[j, b, s, r]: V2 and H act on the
+    d_A^2 rank vectors e_i x psi_sr[j] of each sample."""
+    d, (d_a, d_b, stack, rank) = part.d, psi.shape
     # x[a, b, s, r, i, j] = delta_ai psi[j, b, s, r]: the vectors e_i x psi_sr[j]
     x = np.zeros((d_a, d_b, stack, rank, d_a, d_a), dtype=complex)
     for i in range(d_a):
@@ -169,11 +186,34 @@ def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
     y = _apply_operator(v2, x.transpose(1, 0, 2))
     hy = _apply_operator(h, y).reshape(stack, d, rank, d_a**2) * weights[:, None, :, None]
     # M_s[ij, kl] = sum_xr w_sr (H y_s)[x, r, ij] conj(y_s[x, r, kl]): one gemm per sample
-    m = np.matmul(hy.reshape(stack, d * rank, -1).transpose(0, 2, 1),
-                  y.conj().reshape(stack, d * rank, -1))
-    if not sizes:
-        return TransferTensor(part, matrix=m[0])
-    return [TransferTensor(part, matrix=mk) for mk in m]
+    return np.matmul(hy.reshape(stack, d * rank, -1).transpose(0, 2, 1),
+                     y.conj().reshape(stack, d * rank, -1))
+
+
+def _rank_one_matrices(h, psi, weights, v2, part: BipartitePartition) -> np.ndarray:
+    """The (S, d_A^2, d_A^2) stack of M for H = I - |phi><phi|, from psi[j, b, s, r]:
+    M_s = I_A x Gram_s - sum_r w_sr a_sr a_sr+, with a_sr[ij] = <chi_s[i]|psi_sr[j]>
+    and chi_s = V2_s+ phi. V2 must be unitary, which ``GateProgram`` checks.
+    Each product is one np.matmul over the samples, of the same shapes in any stack.
+    """
+    d_a, d_b, stack, rank = psi.shape
+    phi = h.data[None, :, None]
+    if isinstance(v2, list):
+        chi = apply_stack([p.adjoint() for p in v2], np.broadcast_to(phi, (stack, part.d, 1)))
+    else:
+        chi = phi if v2 is None else v2.adjoint().apply(phi[0])[None]
+    chi = np.ascontiguousarray(to_a_first(chi[:, :, 0].T, part).T).reshape(-1, 1, d_a, d_b)
+    x = np.ascontiguousarray(psi.transpose(2, 3, 0, 1))  # x[s, r, j, b] = psi_sr[j, b]
+    a = np.matmul(chi.conj(), x.transpose(0, 1, 3, 2)).reshape(stack, rank, d_a * d_a)
+    # gram[s, j, l] = sum_r w_sr <psi_sr[l]|psi_sr[j]>, one gemm over (r, b)
+    y = x.transpose(0, 2, 1, 3).reshape(stack, d_a, rank * d_b)
+    yw = (x * weights[:, :, None, None]).transpose(0, 2, 1, 3).reshape(stack, d_a, rank * d_b)
+    gram = np.matmul(yw, y.conj().transpose(0, 2, 1))
+    m = -np.matmul(a.transpose(0, 2, 1) * weights[:, None, :], a.conj())
+    blocks = m.reshape(stack, d_a, d_a, d_a, d_a)
+    for i in range(d_a):
+        blocks[:, i, :, i] += gram
+    return m
 
 
 # ---------------------------------------------------------------------------

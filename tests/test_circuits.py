@@ -125,6 +125,29 @@ def test_program_input_checks():
     assert not program.factors.flags.writeable
     with pytest.raises(ValueError):
         program.factors[0, 0] = 0
+    # a factor off unitary by more than UNITARY_ATOL is named; roundoff passes
+    for scale, bad in ((1.0 + 1e-9, True), (1.0 + 1e-13, False)):
+        factors = np.array(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        factors[1, 2] *= scale
+        if bad:
+            with pytest.raises(ValueError, match="segment 1, qubit 2 is not unitary"):
+                GateProgram(3, factors, ((), ()))
+        else:
+            GateProgram(3, factors, ((), ()))
+    with pytest.raises(ValueError, match="segment 0, qubit 0 is not unitary"):
+        GateProgram(2, np.ones((1, 2, 2, 2)), ((),))
+
+
+def test_built_programs_pass_the_unitarity_check():
+    # the check runs in __post_init__, so building is the test: a long product
+    # of rotations on one qubit, and the largest sampled circuit
+    spin = [GateSpec(("rx", "ry", "rz")[k % 3], 0, angle=0.1 + k) for k in range(2000)]
+    want = apply_gatewise(1, spin, np.eye(2, dtype=complex))
+    assert np.allclose(np.asarray(GateProgram.from_gates(1, spin)), want, atol=1e-11)
+    program = sample_circuit(CircuitEnsemble("hardware_efficient", 16, layers=160),
+                             np.random.default_rng(3))
+    err = np.abs(program.factors.conj().swapaxes(-1, -2) @ program.factors - np.eye(2)).max()
+    assert err < 1e-14
 
 
 def test_dense_form_refused_above_max_dim():
@@ -292,6 +315,57 @@ def test_stack_input_checks():
         apply_stack([a], np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="CZ runs"):
         apply_stack([a, GateProgram.from_gates(3, ())], np.zeros((2, 8, 1)))
+
+
+@st.composite
+def any_programs(draw):
+    """(n, program) on 1..11 qubits: every ensemble kind, hardware_efficient with
+    0..4 layers, and parsed gate lists, which end on a rotation or on a CZ."""
+    source = draw(st.sampled_from(["hardware_efficient", "one_design_layer", "identity", "gates"]))
+    if source == "gates":
+        n, gates = draw(programs())
+        return n, GateProgram.from_gates(n, gates)
+    n = draw(st.integers(1, 11))
+    layers = draw(st.integers(0, 4)) if source == "hardware_efficient" else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, sample_circuit(CircuitEnsemble(source, n, layers=layers), rng)
+
+
+def assert_adjoint_inverts(n, program, seed):
+    adjoint = program.adjoint()
+    assert adjoint.n == n and not adjoint.factors.flags.writeable
+    # a leading identity segment carries the last CZ run, when there is one
+    extra = int(bool(program.cz_runs) and bool(program.cz_runs[-1]))
+    assert len(adjoint.cz_runs) == len(program.cz_runs) + extra
+    x = random_states(n, 2, seed)
+    assert np.max(np.abs(adjoint.apply(program.apply(x)) - x)) <= 1e-12 * np.max(np.abs(x))
+    if n <= 6:
+        assert np.max(np.abs(np.asarray(adjoint) - np.asarray(program).conj().T)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_programs(), st.integers(0, 2**32 - 1))
+def test_adjoint_inverts_the_program(program, seed):
+    assert_adjoint_inverts(*program, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 11])
+@pytest.mark.parametrize("layout", ["cz_first", "cz_last", "cz_only", "rotations_only", "empty"])
+def test_adjoint_edge_programs(n, layout):
+    chain = [GateSpec("cz", q + 1, control=q) for q in range(n - 1)]
+    rots = [GateSpec("ry", q, angle=0.4 + q) for q in range(n)] + [GateSpec("rx", 0, angle=2.1)]
+    gates = {"cz_first": chain + rots, "cz_last": rots + chain + rots + chain,
+             "cz_only": chain + chain[:1], "rotations_only": rots, "empty": []}[layout]
+    assert_adjoint_inverts(n, GateProgram.from_gates(n, gates), seed=n)
+
+
+def test_adjoints_of_a_stack_form_a_stack():
+    rng = np.random.default_rng(4)
+    ens = CircuitEnsemble("hardware_efficient", 7, layers=5)
+    programs_ = [sample_circuit(ens, rng) for _ in range(3)]
+    xs = rng.normal(size=(3, 2**7, 2)) + 0j
+    back = apply_stack([p.adjoint() for p in programs_], apply_stack(programs_, xs))
+    assert np.max(np.abs(back - xs)) <= 1e-12 * np.max(np.abs(xs))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])

@@ -835,6 +835,15 @@ def test_shift_rule_and_gate_range_at_n14():
     assert max(abs(r[0]) for r in results) > 1e-3  # the comparison is not between zeros
 
 
+def with_rank_one(h, d, seed):
+    """h, then the rank-one observables I - |e0><e0| and I - |phi><phi| on its
+    register, phi random with norm 1.3: the latter two take the V2+ phi branch
+    of transfer_tensor whenever V2 is None or gate programs."""
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return [h, qsl_hamiltonian(np.eye(d)[0]), qsl_hamiltonian(1.3 * phi / np.linalg.norm(phi))]
+
+
 @pytest.mark.parametrize("a_sites", [(0,), (2,), (0, 1), (1, 3)])
 @pytest.mark.parametrize("state", ["pure", "mixed"])
 @pytest.mark.parametrize("circuit", ["none", "matrix", "program"])
@@ -854,9 +863,10 @@ def test_statevector_transfer_matches_dense_oracle(a_sites, state, circuit):
         else:
             ens = CircuitEnsemble("hardware_efficient", n, layers=4)
             v1, v2 = sample_circuit(ens, rng), sample_circuit(ens, rng)
-        got = transfer_tensor(h, rho, v1, v2, part).tensor
-        ref = transfer_tensor_dense(h, rho, v1, v2, part)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        for hk in with_rank_one(h, part.d, seed=n):
+            got = transfer_tensor(hk, rho, v1, v2, part).tensor
+            ref = transfer_tensor_dense(hk, rho, v1, v2, part)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -881,11 +891,12 @@ def test_stacked_transfer_matches_dense_oracle(m, state, sides):
         }[state]()
         # a shared state is passed once; with no program list the stack is the rhos
         rho = rhos[0] if state == "shared" and sides != "none" else rhos
-        got = transfer_tensor(h, rho, v1s, v2s, part)
-        assert len(got) == 3
-        for s, t in enumerate(got):
-            ref = transfer_tensor_dense(h, rhos[s], v1s and v1s[s], v2s and v2s[s], part)
-            assert np.max(np.abs(t.tensor - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        for hk in with_rank_one(h, part.d, seed=n):
+            got = transfer_tensor(hk, rho, v1s, v2s, part)
+            assert len(got) == 3
+            for s, t in enumerate(got):
+                ref = transfer_tensor_dense(hk, rhos[s], v1s and v1s[s], v2s and v2s[s], part)
+                assert np.max(np.abs(t.tensor - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -900,10 +911,34 @@ def test_stacked_transfer_independent_of_stack(m, rank):
     v2s = [sample_circuit(ens, rng) for _ in range(4)]
     rhos = [random_pure_state(part.d, rng) if rank == 1 else random_density(part.d, rng, rank=rank)
             for _ in range(4)]
-    full = transfer_tensor(heisenberg(n), rhos, v1s, v2s, part)
-    for s in range(4):
-        alone = transfer_tensor(heisenberg(n), rhos[s:s + 1], v1s[s:s + 1], v2s[s:s + 1], part)
-        assert np.array_equal(alone[0].tensor, full[s].tensor)
+    for h in with_rank_one(heisenberg(n), part.d, seed=n)[::2]:
+        full = transfer_tensor(h, rhos, v1s, v2s, part)
+        for s in range(4):
+            alone = transfer_tensor(h, rhos[s:s + 1], v1s[s:s + 1], v2s[s:s + 1], part)
+            assert np.array_equal(alone[0].tensor, full[s].tensor)
+
+
+@pytest.mark.parametrize("v2_kind", ["none", "program", "programs", "matrix"])
+def test_rank_one_branch_taken_exactly_when_v2_is_programs(monkeypatch, v2_kind):
+    # the V2+ phi branch needs V2 unitary and applied as programs; a dense V2
+    # takes the general path, and both agree with the dense oracle
+    rng = np.random.default_rng(len(v2_kind))
+    n = 6
+    part = BipartitePartition(n, (0,))
+    ens = CircuitEnsemble("hardware_efficient", n, layers=4)
+    h = with_rank_one(None, part.d, seed=0)[2]
+    rhos = [random_pure_state(part.d, rng) for _ in range(2)]
+    v2s = [sample_circuit(ens, rng) for _ in range(2)]
+    v2 = {"none": None, "program": v2s[0], "programs": v2s, "matrix": np.asarray(v2s[0])}[v2_kind]
+    calls = []
+    branch = landscape._rank_one_matrices
+    monkeypatch.setattr(landscape, "_rank_one_matrices", lambda *a: calls.append(1) or branch(*a))
+    got = transfer_tensor(h, rhos, None, v2, part)
+    assert len(calls) == (v2_kind != "matrix")
+    for s, t in enumerate(got):
+        v2_s = v2s[s] if v2_kind == "programs" else v2
+        ref = transfer_tensor_dense(h, rhos[s], None, v2_s, part)
+        assert np.max(np.abs(t.tensor - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_stacked_transfer_input_checks():
