@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import MAX_DIM, PAULI, DimensionError
 
@@ -347,5 +346,7 @@ def local_unitary(params: LocalUnitaryParams) -> np.ndarray:
     """The tunable local gate: ZYZ Euler angles (m=1) or exp(-i sum c_k G_k) (m=2)."""
     if params.m == 1:
         return euler_zyz(*params.values)
+    from scipy.linalg import expm  # loaded on first m = 2 use only
+
     gen = sum(c * g for c, g in zip(params.values, su4_generators()))
     return expm(-1j * gen)

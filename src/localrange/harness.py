@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; importing it here keeps that out of the first draw
 
 from .circuits import CircuitEnsemble, sample_circuit
 from .costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
@@ -161,19 +162,24 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
 
 
 def _sample_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, layers: int):
-    """Sample k's V1, V2 (None on an identity side), rho and optimizer rng, each from its own stream."""
-    ss = np.random.SeedSequence(
-        (cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
-    )
-    rng_v1, rng_v2, rng_rho, rng_opt = (np.random.default_rng(s) for s in ss.spawn(4))
+    """Sample k's V1, V2 (None on an identity side), rho and optimizer rng (None unless polar).
+
+    Each draw has its own stream, child i = 0..3 of the sample's SeedSequence
+    (the i-th of ``spawn(4)``), built only when the sample uses it.
+    """
+    entropy = (cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
+
+    def stream(i: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+
     ens = _side_ensemble(cfg, n, layers)
     v1 = v2 = None
     if cfg.ensemble_config in ("v1_design", "both") and ens.kind != "identity":
-        v1 = sample_circuit(ens, rng_v1)
+        v1 = sample_circuit(ens, stream(0))
     if cfg.ensemble_config in ("v2_design", "both") and ens.kind != "identity":
-        v2 = sample_circuit(ens, rng_v2)
-    rho = inst.rho if inst.rho is not None else random_pure_state(2**n, rng_rho)
-    return v1, v2, rho, rng_opt
+        v2 = sample_circuit(ens, stream(1))
+    rho = inst.rho if inst.rho is not None else random_pure_state(2**n, stream(2))
+    return v1, v2, rho, stream(3) if cfg.optimizer == "polar" else None
 
 
 def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int) -> list[float]:

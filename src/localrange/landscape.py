@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 from .circuits import (
     GateProgram,
@@ -374,6 +373,8 @@ def _local_params(u: np.ndarray) -> LocalUnitaryParams:
         q = np.einsum("aij,ij->a", _QUATERNION_BASIS.conj(), u).real / 2
         return _zyz_from_quaternion(q / np.linalg.norm(q))
     if d == 4:
+        from scipy.linalg import schur  # loaded on first m = 2 use only
+
         tri, z = schur(u, output="complex")
         g = -(z * np.angle(np.diag(tri))) @ z.conj().T
         return LocalUnitaryParams([np.einsum("ij,ji->", gen, g).real / 4 for gen in su4_generators()])

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -188,6 +190,40 @@ def test_m2_scaling_runs_polar(capsys):
                              "--optimizer", "adam", "--samples", "2")
     assert code == 1
     assert "--optimizer" in err and out == ""
+
+
+_SCIPY_PROBE = """
+import json, sys
+from localrange.cli import cli_main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+for argv in json.loads(sys.argv[1]):
+    assert cli_main(argv) == 0, argv
+before = scipy_modules()
+assert cli_main(json.loads(sys.argv[2])) == 0
+print(json.dumps([before, scipy_modules()]))
+"""
+
+
+def test_m1_runs_load_no_scipy(tmp_path):
+    # scipy serves only m = 2 solves (expm, schur); a fresh process shows what loads
+    out = tmp_path / "rows.csv"
+    m1_runs = [["scaling", "--task", task, "--n", "3", "--n-max", "4", "--layers", "2",
+                "--samples", "2", "--optimizer", optimizer, "--out", str(out)]
+               for task in ("vqe", "qae", "qsl") for optimizer in ("exact", "grid")]
+    m1_runs += [["bounds", "--task", task, "--n", "6", "--m", m]
+                for task in ("vqe", "qae", "qsl") for m in ("1", "2")]
+    m2_run = ["scaling", "--task", "vqe", "--n", "3", "--m", "2", "--optimizer", "polar",
+              "--samples", "2", "--out", str(out)]
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(m1_runs), json.dumps(m2_run)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    before, after = json.loads(res.stdout.splitlines()[-1])
+    assert before == []
+    assert "scipy.linalg" in after  # the probe sees scipy once an m = 2 solve loads it
+    assert out.read_text().splitlines()[1].startswith("vqe,3,2,both,2,")
 
 
 def test_bound_violation_exits_three(monkeypatch, capsys):

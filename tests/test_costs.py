@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dense_reference import generic_cost, pauli_word_matrix, projector_zero, qae_cost, qsl_cost
+from localrange import costs
 from localrange.costs import (
     Observable,
     bures_fidelity,
@@ -121,6 +122,36 @@ class TestObservable:
         h = heisenberg(n, periodic)
         ev = np.linalg.eigvalsh(np.asarray(h))
         assert spectral_width(h) == pytest.approx(ev[-1] - ev[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_lanczos_width_matches_arpack(self, n, periodic):
+        # above linalg.MAX_DIM no dense oracle exists; ARPACK is the reference
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        h = heisenberg(n, periodic)
+        d = 2**n
+        op = LinearOperator((d, d), matvec=h.apply, dtype=float)
+        v0 = np.random.default_rng(n).standard_normal(d)
+        lam = eigsh(op, k=1, which="SA", tol=0, v0=v0, return_eigenvectors=False)[0]
+        assert spectral_width(h) == pytest.approx(len(h.data) - lam, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_lanczos_stops_when_the_krylov_space_is_exhausted(self, monkeypatch, periodic):
+        # at n = 2, H = k (2 SWAP - I) has two eigenvalues, so beta_2 = 0 up to roundoff
+        calls = []
+        apply = Observable.apply
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return apply(self, x)
+
+        monkeypatch.setattr(Observable, "apply", counted)
+        h = heisenberg(2, periodic)
+        k = len(h.data)
+        assert costs._lowest_eigenvalue(h) == pytest.approx(-3.0 * k, rel=1e-14, abs=0.0)
+        assert len(calls) == 2
+        assert spectral_width(h) == pytest.approx(4.0 * k, rel=1e-14, abs=0.0)
 
     def test_projector_widths_are_exactly_one(self):
         e0 = np.zeros(2**6)

@@ -126,6 +126,37 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * inst.w)
 
 
+@pytest.mark.parametrize("optimizer", ["exact", "polar"])
+@pytest.mark.parametrize("task", ["qae", "qsl"])
+def test_sample_streams_are_the_spawned_children(task, optimizer):
+    # each draw reads child i of the sample's SeedSequence, as spawn(4)[i] gives it;
+    # streams a sample does not use (fixed rho, no polar solve) are not built
+    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, layers=3, samples=2, seed=17,
+                           optimizer=optimizer)
+    inst = harness.setup_task(task, 4, 1)
+    ens = harness._side_ensemble(cfg, 4, 3)
+    for k in range(2):
+        entropy = (17, harness.TASK_IDS[task], 4, k, 3, harness.ENSEMBLE_CONFIGS["both"])
+        children = np.random.SeedSequence(entropy).spawn(4)
+        for i, child in enumerate(children):
+            built = np.random.SeedSequence(entropy, spawn_key=(i,))
+            assert np.array_equal(built.generate_state(8), child.generate_state(8))
+        v1, v2, rho, rng_opt = harness._sample_draws(cfg, inst, 4, k, 3)
+        rngs = [np.random.default_rng(child) for child in children]
+        for got, rng in ((v1, rngs[0]), (v2, rngs[1])):
+            want = harness.sample_circuit(ens, rng)
+            assert got.cz_runs == want.cz_runs
+            assert np.array_equal(got.factors, want.factors)
+        if task == "qae":
+            assert np.array_equal(rho, harness.random_pure_state(16, rngs[2]))
+        else:
+            assert rho is inst.rho
+        if optimizer == "polar":
+            assert rng_opt.bit_generator.state == rngs[3].bit_generator.state
+        else:
+            assert rng_opt is None
+
+
 @pytest.mark.parametrize("cfg", [
     # stacks of at most 8, 4 and 2 samples at n = 9, 10 and 11
     ExperimentConfig(task="vqe", n_min=9, n_max=11, layers=6, samples=5, seed=2),
