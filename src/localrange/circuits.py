@@ -194,7 +194,7 @@ class GateProgram:
         a, b, c, d = factors.reshape(-1, 4).T
         err = np.maximum.reduce([abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
                                  abs(a.conj() * b + c.conj() * d)])
-        if err.size and err.max() > UNITARY_ATOL:
+        if err.size and not err.max() <= UNITARY_ATOL:  # NaN fails too
             s, q = divmod(int(err.argmax()), self.n)
             raise ValueError(f"factor of segment {s}, qubit {q} is not unitary: "
                              f"max |F+ F - I| = {err.max():.3e} > {UNITARY_ATOL}")
@@ -211,8 +211,10 @@ class GateProgram:
         product of segment s's rotations on qubit q (the identity if none).
         Every rotation needs a bound angle.
         """
-        axes, angles, where, cz_runs, pairs, count = [], [], [], [], [], {}
         gates = tuple(gates)
+        if not gates:
+            return cls(n, np.zeros((0, n, 2, 2)), ())
+        segments, cz_runs, pairs = [{}], [], []  # segments[s][q]: the product so far
         for g in gates:
             if g.kind == "cz":
                 pairs.append((g.control, g.target))
@@ -223,25 +225,14 @@ class GateProgram:
                 raise ValueError("rotation gate has no angle bound")
             if pairs:
                 cz_runs.append(tuple(pairs))
-                pairs, count = [], {}
-            rank = count.get(g.target, 0)
-            count[g.target] = rank + 1
-            axes.append(ROTATION_KINDS.index(g.kind))
-            angles.append(g.angle)
-            where.append((len(cz_runs), g.target, rank))
-        if gates:
-            cz_runs.append(tuple(pairs))
-        factors = np.zeros((len(cz_runs), n, 2, 2), dtype=complex)
-        factors[:, :, 0, 0] = factors[:, :, 1, 1] = 1.0
-        if where:
-            mats = _rotation_matrices(axes, angles)
-            seg, qubit, rank = np.array(where).T
-            # the k-th rotation on each (segment, qubit), for all of them at once
-            for k in range(rank.max() + 1):
-                at = rank == k
-                s, q = seg[at], qubit[at]
-                factors[s, q] = mats[at] if k == 0 else mats[at] @ factors[s, q]
-        return cls(n, factors, cz_runs)
+                segments.append({})
+                pairs = []
+            segment = segments[-1]
+            r = rotation(g.kind[1], g.angle)
+            segment[g.target] = r @ segment[g.target] if g.target in segment else r
+        cz_runs.append(tuple(pairs))
+        eye = np.eye(2)
+        return cls(n, [[segment.get(q, eye) for q in range(n)] for segment in segments], cz_runs)
 
     def adjoint(self) -> GateProgram:
         """The program of U+: the factors conjugate-transposed in reverse order, each

@@ -253,10 +253,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"localrange: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"localrange: error: {exc}", file=sys.stderr)
         return 1
     except BoundViolation as exc:

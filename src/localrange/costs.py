@@ -1,4 +1,4 @@
-"""Task observables (Heisenberg VQE, autoencoder, state learning) and Bures fidelity."""
+"""Task observables: Heisenberg VQE, autoencoder and state learning, applied matrix-free."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import MAX_DIM, DimensionError, as_matrix, eig_hermitian, is_hermitian
+from .linalg import MAX_DIM, DimensionError
 
-PSD_EIG_FLOOR = -1e-10
-FIDELITY_ATOL = 1e-9
 # Lanczos stops once the lowest Ritz pair's residual is below this, relative to
 # max(1, |theta_0|); the Heisenberg chains of n = 2..16 take 2 to 79 steps.
 LANCZOS_RTOL = 1e-14
@@ -135,42 +133,3 @@ def qsl_hamiltonian(phi: np.ndarray) -> Observable:
     if phi.ndim != 1 or phi.size != 2**n:
         raise DimensionError(f"target state must be a vector of length 2^n, got shape {phi.shape}")
     return Observable(n, "rank_one", phi)
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(rho)
-    if float(w[0]) < PSD_EIG_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def bures_fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rm, sm = as_matrix(rho), as_matrix(sigma)
-    if rm.shape != sm.shape:
-        raise DimensionError("states must share one dimension")
-    if not (is_hermitian(rm, atol=1e-9) and is_hermitian(sm, atol=1e-9)):
-        raise ValueError("states must be Hermitian")
-    root = _psd_sqrt(rm)
-    inner = root @ sm @ root
-    w, _ = eig_hermitian((inner + inner.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    val = float(np.sum(np.sqrt(w))) ** 2
-    if val > 1.0 + FIDELITY_ATOL:
-        raise ValueError(f"fidelity {val!r} exceeds 1; are both states normalized?")
-    return min(val, 1.0)
-
-
-def product_rank(rho, sigma, rel_cutoff: float = 1e-10) -> int:
-    """Numerical rank of rho @ sigma: singular values above rel_cutoff * s_max."""
-    s = np.linalg.svd(as_matrix(rho) @ as_matrix(sigma), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_cutoff * s[0]))
-
-
-def fidelity_rank_bound(rho, sigma) -> float:
-    """rank(rho sigma) * tr(rho sigma), the upper bound on the Bures fidelity."""
-    rm, sm = as_matrix(rho), as_matrix(sigma)
-    return product_rank(rm, sm) * float(np.trace(rm @ sm).real)

@@ -1,7 +1,6 @@
 """Haar-measure moment identities and their Monte-Carlo cross-validation.
 
 Closed forms implemented here:
-  - first moment twirl            E_V[V A V+] = tr(A)/d I
   - second-moment reduced norm    E_V[||tr_B(Q V P V+)||_2^2]
   - average reduced purity        E_V[tr(rho_A^2)]
 plus an independent evaluation of the reduced-norm moment through the
@@ -70,13 +69,6 @@ def haar_random_unitary(d: int, rng: np.random.Generator, size: int | None = Non
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases[..., None, :]
-
-
-def first_moment_twirl(a) -> np.ndarray:
-    """E_V[V A V+] = tr(A)/d I, exactly."""
-    m = as_matrix(a)
-    d = m.shape[0]
-    return (np.trace(m) / d) * np.eye(d, dtype=complex)
 
 
 def second_moment_reduced_norm(mq: MomentQuery) -> float:

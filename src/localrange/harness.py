@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; importing it here keeps that out of the first draw
@@ -43,12 +43,6 @@ MAX_QUBITS = 16
 # inputs are pure). qsl's rank-one path sends one vector per sample through V2+,
 # but splits its stacks by the same count.
 _STACK_AMPLITUDES = 2**14
-
-CSV_HEADER = (
-    "task,n,m,ensemble_config,samples,mean_delta_over_w,std_delta,"
-    "bound_general,bound_tight,bound_qsl,seed"
-)
-
 
 class ConfigError(ValueError):
     """Experiment configuration failed validation; message names the field."""
@@ -118,6 +112,10 @@ class ExperimentRow:
     bound_tight: float
     bound_qsl: float | None
     seed: int
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -285,16 +283,7 @@ def emit_csv(rows, path=None) -> None:
     """
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.task, r.n, r.m, r.ensemble_config, r.samples,
-                    r.mean_delta_over_w, r.std_delta, r.bound_general,
-                    r.bound_tight, r.bound_qsl, r.seed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _CSV_COLUMNS))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -126,7 +126,7 @@ def expectation(h, rho, v) -> float:
     psi = _apply_operator(v, cols[None])
     val = complex(np.einsum("sxr,sxr,r->", psi.conj(), _apply_operator(h, psi), weights))
     scale = max(1.0, abs(val))
-    if abs(val.imag) > IMAG_RESIDUE_ATOL * scale:
+    if not abs(val.imag) <= IMAG_RESIDUE_ATOL * scale:  # NaN fails too
         raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
     return val.real
 

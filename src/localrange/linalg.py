@@ -144,15 +144,6 @@ def to_a_first(x: np.ndarray, part: BipartitePartition, operator: bool = False,
     return t.transpose(axes).reshape(x.shape)
 
 
-def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = as_matrix(h)
-    if not is_hermitian(m, atol=1e-10):
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w, v
-
-
 def spectral_width(h) -> float:
     """w(H): spread between the largest and smallest eigenvalue.
 
@@ -162,7 +153,10 @@ def spectral_width(h) -> float:
     width = getattr(h, "width", None)
     if callable(width):
         return width()
-    w, _ = eig_hermitian(h)
+    m = as_matrix(h)
+    if not is_hermitian(m, atol=1e-10):
+        raise ValueError("spectral_width requires a Hermitian matrix")
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return float(w[-1] - w[0])
 
 

@@ -14,7 +14,8 @@ time, as the oracle for the layer-fused ``GateProgram.apply``, and
 ``sample_circuit``, which draws the fused factors directly. ``variation_range_adam``,
 gradient ascent in the ZYZ angles (m = 1) or the 15 su(4) coefficients (m = 2)
 with analytic gradients through ``expm_frechet``, is the oracle for the polar
-solver.
+solver. The Bures fidelity with its rank bound, and the first-moment Haar
+twirl, are dense checks of the lemmas the bounds rest on; no run computes them.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from localrange.circuits import (
 )
 from localrange.costs import qae_hamiltonian
 from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, TransferTensor, VariationResult
-from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, max_abs, to_a_first
+from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
 
 
 def kron(a, b):
@@ -470,3 +471,52 @@ def certificate(t):
     bounds every range."""
     ev = np.linalg.eigvalsh(t.matrix)
     return float(t.part.d_A * (ev[-1] - ev[0]))
+
+
+PSD_EIG_FLOOR = -1e-10
+FIDELITY_ATOL = 1e-9
+
+
+def _psd_sqrt(rho):
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    if float(w[0]) < PSD_EIG_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:.3e})")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def bures_fidelity(rho, sigma):
+    """F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    rm, sm = as_matrix(rho), as_matrix(sigma)
+    if rm.shape != sm.shape:
+        raise DimensionError("states must share one dimension")
+    if not (is_hermitian(rm, atol=1e-9) and is_hermitian(sm, atol=1e-9)):
+        raise ValueError("states must be Hermitian")
+    root = _psd_sqrt(rm)
+    inner = root @ sm @ root
+    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
+    val = float(np.sum(np.sqrt(w))) ** 2
+    if val > 1.0 + FIDELITY_ATOL:
+        raise ValueError(f"fidelity {val!r} exceeds 1; are both states normalized?")
+    return min(val, 1.0)
+
+
+def product_rank(rho, sigma, rel_cutoff=1e-10):
+    """Numerical rank of rho @ sigma: singular values above rel_cutoff * s_max."""
+    s = np.linalg.svd(as_matrix(rho) @ as_matrix(sigma), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rel_cutoff * s[0]))
+
+
+def fidelity_rank_bound(rho, sigma):
+    """rank(rho sigma) * tr(rho sigma), the upper bound on the Bures fidelity."""
+    rm, sm = as_matrix(rho), as_matrix(sigma)
+    return product_rank(rm, sm) * float(np.trace(rm @ sm).real)
+
+
+def first_moment_twirl(a):
+    """E_V[V A V+] = tr(A)/d I over Haar V, exactly."""
+    m = as_matrix(a)
+    d = m.shape[0]
+    return (np.trace(m) / d) * np.eye(d, dtype=complex)

@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import AdamConfig, variation_range_adam
+from dense_reference import AdamConfig, bures_fidelity, fidelity_rank_bound, variation_range_adam
 from localrange.circuits import GateSpec
-from localrange.costs import bures_fidelity, fidelity_rank_bound
 from localrange.haar import (
     MomentQuery,
     average_reduced_purity,

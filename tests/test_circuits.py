@@ -136,6 +136,55 @@ def test_program_input_checks():
             GateProgram(3, factors, ((), ()))
     with pytest.raises(ValueError, match="segment 0, qubit 0 is not unitary"):
         GateProgram(2, np.ones((1, 2, 2, 2)), ((),))
+    # NaN fails the tolerance test too: a NaN factor, and the factor of an infinite angle
+    factors = np.array(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+    factors[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="segment 1, qubit 2 is not unitary"):
+        GateProgram(3, factors, ((), ()))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="segment 0, qubit 1 is not unitary"):
+        GateProgram.from_gates(2, (GateSpec("rx", 1, angle=np.inf),))
+
+
+def test_from_gates_factors_are_the_gate_by_gate_products():
+    # bitwise: factors[s, q] is the product, in list order, of the rotation
+    # matrices of segment s on qubit q, and a segment ends after each CZ run
+    rng = np.random.default_rng(16)
+    lists = [(2, []), (2, [GateSpec("cz", 1, control=0)]), (1, [GateSpec("rz", 0, angle=0.3)] * 3)]
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        gates = []
+        for _ in range(int(rng.integers(1, 25))):
+            if rng.random() < 0.3:
+                a, b = rng.choice(n, 2, replace=False)
+                gates.append(GateSpec("cz", int(b), control=int(a)))
+            else:  # few qubits, so a qubit often repeats within a segment
+                gates.append(GateSpec(("rx", "ry", "rz")[rng.integers(3)], int(rng.integers(2)),
+                                      angle=float(rng.normal(scale=3.0))))
+        lists.append((n, gates + [GateSpec("cz", n - 1, control=0)] * int(rng.integers(2))))
+    for n, gates in lists:
+        segments, runs, pairs = [[[] for _ in range(n)]], [], []
+        for g in gates:
+            if g.kind == "cz":
+                pairs.append((g.control, g.target))
+                continue
+            if pairs:
+                segments.append([[] for _ in range(n)])
+                runs.append(tuple(pairs))
+                pairs = []
+            segments[-1][g.target].append(rotation(g.kind[1], g.angle))
+        if gates:
+            runs.append(tuple(pairs))
+        else:
+            segments = []
+        want = np.zeros((len(segments), n, 2, 2), dtype=complex)
+        for s, segment in enumerate(segments):
+            for q, mats in enumerate(segment):
+                want[s, q] = np.eye(2) if not mats else mats[0]
+                for m in mats[1:]:
+                    want[s, q] = m @ want[s, q]
+        program = GateProgram.from_gates(n, gates)
+        assert program.factors.tobytes() == want.tobytes()
+        assert program.cz_runs == tuple(runs)
 
 
 def test_built_programs_pass_the_unitarity_check():

@@ -215,6 +215,12 @@ def test_m1_runs_load_no_scipy(tmp_path):
                for task in ("vqe", "qae", "qsl") for optimizer in ("exact", "grid")]
     m1_runs += [["bounds", "--task", task, "--n", "6", "--m", m]
                 for task in ("vqe", "qae", "qsl") for m in ("1", "2")]
+    m1_runs += [["scaling", "--task", "vqe", "--n", "3", "--samples", "2", "--optimizer", "polar",
+                 "--out", str(out)],
+                ["layers", "--task", "vqe", "--n", "3", "--layer-list", "1,2", "--samples", "2",
+                 "--out", str(out)],
+                ["selftest"],
+                ["validate-haar", "--samples", "200"]]
     m2_run = ["scaling", "--task", "vqe", "--n", "3", "--m", "2", "--optimizer", "polar",
               "--samples", "2", "--out", str(out)]
     res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(m1_runs), json.dumps(m2_run)],

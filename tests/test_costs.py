@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from dense_reference import generic_cost, pauli_word_matrix, projector_zero, qae_cost, qsl_cost
-from localrange import costs
-from localrange.costs import (
-    Observable,
+from dense_reference import (
     bures_fidelity,
     fidelity_rank_bound,
-    heisenberg,
+    generic_cost,
+    pauli_word_matrix,
     product_rank,
-    qae_hamiltonian,
-    qsl_hamiltonian,
+    projector_zero,
+    qae_cost,
+    qsl_cost,
 )
+from localrange import costs
+from localrange.costs import Observable, heisenberg, qae_hamiltonian, qsl_hamiltonian
 from localrange.haar import haar_random_unitary
 from localrange.linalg import (
     MAX_DIM,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from dense_reference import first_moment_twirl
 from localrange.haar import (
     McEstimate,
     MomentQuery,
     average_reduced_purity,
-    first_moment_twirl,
     haar_random_unitary,
     mc_reduced_purity,
     mc_second_moment,

@@ -271,7 +271,10 @@ class TestCsv:
         rows = run_scaling(small_cfg(n_max=2))
         emit_csv(rows, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "task,n,m,ensemble_config,samples,mean_delta_over_w,std_delta,"
+            "bound_general,bound_tight,bound_qsl,seed"
+        )
         fields = lines[1].split(",")
         assert fields[0] == "vqe"
         assert "e" in fields[5]  # scientific notation

@@ -779,6 +779,10 @@ def test_expectation_rejects_bad_input():
         expectation(heisenberg(3), np.ones(4) / 2, None)
     with pytest.raises(ValueError, match="imaginary"):
         expectation(np.array([[0, 1], [0, 0]]), np.array([1, 1j]) / np.sqrt(2), None)
+    nan_state = np.full(8, np.sqrt(1 / 8), dtype=complex)
+    nan_state[3] = np.nan
+    with pytest.raises(ValueError, match="imaginary"):  # NaN fails the residue test
+        expectation(heisenberg(3), nan_state, None)
 
 
 def test_expectation_rejects_non_hermitian_rho():

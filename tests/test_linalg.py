@@ -11,7 +11,6 @@ from localrange.linalg import (
     BipartitePartition,
     DimensionError,
     check_density,
-    eig_hermitian,
     partial_trace,
     random_density,
     random_hermitian,
@@ -151,11 +150,11 @@ def test_to_a_first_on_state_blocks(a_sites):
     assert np.array_equal(to_a_first(out, part, inverse=True), block)
 
 
-def test_eig_hermitian_sorted_and_validates():
-    w, v = eig_hermitian(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(w, [-1, 2, 3])
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0, 1], [0, 0]]))
+def test_spectral_width_of_a_dense_matrix_validates():
+    assert spectral_width(np.diag([3.0, -1.0, 2.0])) == pytest.approx(4.0)
+    assert spectral_width(np.array([[0, 1j], [-1j, 0]])) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectral_width(np.array([[0, 1], [0, 0]]))
 
 
 def test_spectral_width():
