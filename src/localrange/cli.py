@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .costs import heisenberg
+from .costs import ConvergenceError
 from .harness import BoundViolation, ConfigError, ExperimentConfig
 from .haar import (
     MomentQuery,
@@ -28,7 +28,7 @@ from .landscape import (
     variation_range_grid,
     variation_range_polar,
 )
-from .linalg import BipartitePartition, random_density, random_hermitian, spectral_width
+from .linalg import BipartitePartition, random_density, random_hermitian
 
 DEFAULT_LAYER_LIST = "5,20,50,80,95"
 
@@ -57,7 +57,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--layers-multiplier", type=int, dest="layers_multiplier")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--optimizer", choices=harness.OPTIMIZERS)
+    p.add_argument("--optimizer", choices=tuple(harness.SOLVERS.values()),
+                   help="the solver --m implies; any other is refused (default: that solver)")
     p.add_argument("--out", metavar="FILE", help="CSV output path (default: stdout)")
 
 
@@ -150,18 +151,14 @@ def _cmd_validate_haar(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.n > harness.MAX_QUBITS:
-        raise ConfigError(f"n: must be at most {harness.MAX_QUBITS}, got {args.n}")
-    if args.m not in (1, 2) or args.m >= args.n:
-        raise ConfigError(f"m: must be 1 or 2 and smaller than n, got m={args.m}, n={args.n}")
+    ExperimentConfig(task=args.task, n_min=args.n, n_max=args.n, m=args.m)  # checks n and m
     inst = harness.setup_task(args.task, args.n, args.m)
     rep = bound_report(args.task, args.n, args.m, inst.w)
     print(f"task = {args.task}, n = {args.n}, m = {args.m}, w = {inst.w:.12g}")
     print(f"bound_general = {rep.general:.12g}")
     print(f"bound_variance = {rep.variance:.12g}")
-    print(f"bound_tight = {rep.tight:.12g}")
-    if args.task in ("vqe", "qae"):
-        print(f"bound_tight_published = {task_tight_bound(args.task, args.n, inst.w, args.m):.12g}")
+    print(f"bound_tight = {task_tight_bound(args.task, args.n, inst.w, args.m):.12g}")
+    print(f"bound_tight_formula = {rep.tight:.12g}")
     if rep.qsl is not None:
         print(f"bound_qsl = {rep.qsl:.12g}")
     print(f"N_A = {rep.n_a}")
@@ -206,9 +203,10 @@ def _cmd_selftest(args) -> int:
 
     cfg = ExperimentConfig(task="vqe", n_min=2, n_max=4, ensemble_config="both",
                            design_kind="two_design", samples=4, seed=args.seed)
-    rows = harness.run_scaling(cfg)
-    ok &= _check("variation range below its bound on a small sweep",
-                 all(r.mean_delta_over_w * spectral_width(heisenberg(r.n)) <= r.bound_general
+    rows = harness.run_scaling(cfg)  # raises BoundViolation on a mean above bound_general
+    ok &= _check("variation range within [0, w] and below its tight bound on a small sweep",
+                 all(0.0 <= r.mean_delta_over_w <= 1.0
+                     and r.mean_delta_over_w * harness.setup_task(r.task, r.n, r.m).w <= r.bound_tight
                      for r in rows))
 
     cfg2 = ExperimentConfig(task="vqe", n_min=2, n_max=2, ensemble_config="both",
@@ -259,6 +257,9 @@ def cli_main(argv=None) -> int:
     except BoundViolation as exc:
         print(f"localrange: bound violated: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"localrange: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry():

@@ -15,6 +15,10 @@ LANCZOS_RTOL = 1e-14
 LANCZOS_MAX_STEPS = 1000
 
 
+class ConvergenceError(ArithmeticError):
+    """An iterative eigensolver stopped at its step limit without converging."""
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A task Hamiltonian on n qubits, applied to state vectors without a 2^n x 2^n matrix.
@@ -98,7 +102,7 @@ def _lowest_eigenvalue(h: Observable) -> float:
             return float(theta[0])
         beta.append(b)
         v_prev, v = v, w / b
-    raise ArithmeticError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")
+    raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")
 
 
 def heisenberg(n: int, periodic: bool = True) -> Observable:

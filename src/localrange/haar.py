@@ -24,6 +24,9 @@ from .linalg import (
     to_a_first,
 )
 
+# Haar unitaries drawn per Monte-Carlo batch
+MC_BATCH = 512
+
 
 @dataclass(frozen=True)
 class MomentQuery:
@@ -124,7 +127,7 @@ def average_reduced_purity(p, part: BipartitePartition) -> float:
     return ((d_a**2 - 1) * d_b * purity + (d_b**2 - 1) * d_a) / (d**2 - 1)
 
 
-def mc_second_moment(mq: MomentQuery, samples: int, seed: int, batch: int = 512) -> McEstimate:
+def mc_second_moment(mq: MomentQuery, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of E_V[||tr_B(Q V P V+)||_2^2] over Haar samples."""
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -137,7 +140,7 @@ def mc_second_moment(mq: MomentQuery, samples: int, seed: int, batch: int = 512)
     vals = np.empty(samples)
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(MC_BATCH, samples - done)
         v = haar_random_unitary(d, rng, size=k)
         m = np.einsum("ab,kbc,cd->kad", q, v, p, optimize=True)
         m = np.einsum("kab,kcb->kac", m, v.conj())

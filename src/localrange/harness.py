@@ -25,7 +25,6 @@ from .landscape import (
     theorem1_bound,
     transfer_tensor,
     variation_range_exact_m1,
-    variation_range_grid,
     variation_range_polar,
 )
 from .linalg import BipartitePartition, random_pure_state, spectral_width
@@ -33,7 +32,8 @@ from .linalg import BipartitePartition, random_pure_state, spectral_width
 TASK_IDS = {"vqe": 0, "qae": 1, "qsl": 2}
 ENSEMBLE_CONFIGS = {"v1_design": 0, "v2_design": 1, "both": 2}
 DESIGN_KINDS = ("two_design", "one_design", "identity")
-OPTIMIZERS = ("exact", "polar", "grid")
+# The gate size decides the solver: the closed form for one qubit, polar ascent for two.
+SOLVERS = {1: "exact", 2: "polar"}
 
 # A sample holds O(d_A^2 2^n) amplitudes; at n = 16 a 10n-layer vqe sample
 # spends 0.8-1.0 s in the transfer contraction (2 shared cores, OpenBLAS).
@@ -60,13 +60,13 @@ class ExperimentConfig:
     layers_multiplier: int = 10
     samples: int = 20
     seed: int = 0
-    optimizer: str = "exact"
+    optimizer: str | None = None  # None: SOLVERS[m]; a value given must be SOLVERS[m]
 
     def __post_init__(self):
         # values may come from JSON: check types before any comparison or lookup
         for name, value in vars(self).items():
             want = str if name in ("task", "ensemble_config", "design_kind", "optimizer") else int
-            if type(value) is not want and not (name == "layers" and value is None):
+            if type(value) is not want and not (name in ("layers", "optimizer") and value is None):
                 raise ConfigError(f"{name}: expected {want.__name__}, got {value!r}")
         if self.task not in TASK_IDS:
             raise ConfigError(f"task: expected one of {sorted(TASK_IDS)}, got {self.task!r}")
@@ -93,10 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"layers_multiplier: must be nonnegative, got {self.layers_multiplier}")
         if self.samples < 2:
             raise ConfigError(f"samples: need at least 2, got {self.samples!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer: expected one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.m == 2 and self.optimizer != "polar":
-            raise ConfigError("optimizer: m=2 requires the polar optimizer")
+        if self.optimizer not in (None, SOLVERS[self.m]):
+            raise ConfigError(f"optimizer: m={self.m} is solved by {SOLVERS[self.m]!r}, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
 
 
 def _sample_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, layers: int):
-    """Sample k's V1, V2 (None on an identity side), rho and optimizer rng (None unless polar).
+    """Sample k's V1, V2 (None on an identity side), rho and solver rng (None unless m = 2).
 
     Each draw has its own stream, child i = 0..3 of the sample's SeedSequence
     (the i-th of ``spawn(4)``), built only when the sample uses it.
@@ -177,7 +175,7 @@ def _sample_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, la
     if cfg.ensemble_config in ("v2_design", "both") and ens.kind != "identity":
         v2 = sample_circuit(ens, stream(1))
     rho = inst.rho if inst.rho is not None else random_pure_state(2**n, stream(2))
-    return v1, v2, rho, stream(3) if cfg.optimizer == "polar" else None
+    return v1, v2, rho, stream(3) if cfg.m == 2 else None
 
 
 def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int) -> list[float]:
@@ -186,10 +184,8 @@ def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers
     v1s, v2s, rhos, rngs = (list(side) for side in zip(*draws))
     ts = transfer_tensor(inst.h, rhos, None if v1s[0] is None else v1s,
                          None if v2s[0] is None else v2s, inst.part)
-    if cfg.optimizer == "exact":
+    if cfg.m == 1:
         return [variation_range_exact_m1(t).delta for t in ts]
-    if cfg.optimizer == "grid":
-        return [variation_range_grid(t).delta for t in ts]
     return [variation_range_polar(t, rng).delta for t, rng in zip(ts, rngs)]
 
 
@@ -234,11 +230,9 @@ def run_layer_sweep(cfg: ExperimentConfig, layer_list) -> dict[tuple[int, int], 
     layer_list = sorted({int(x) for x in layer_list})
     if not layer_list:
         raise ConfigError("layers: the layer list is empty")
-    if any(x < 0 for x in layer_list):
-        raise ConfigError(f"layers: counts must be nonnegative, got {layer_list}")
-    if cfg.design_kind != "two_design":
-        raise ConfigError("design_kind: layer sweeps only apply to two_design ensembles")
-    return {(layers, row.n): row for layers in layer_list for row in run_scaling(replace(cfg, layers=layers))}
+    # each config is checked (a count below 0, a layerless ensemble) before any run starts
+    cfgs = [replace(cfg, layers=layers) for layers in layer_list]
+    return {(c.layers, row.n): row for c in cfgs for row in run_scaling(c)}
 
 
 def fit_slope(rows) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel.
+"""Register bipartitions, qubit reorders, partial traces, density checks and spectral widths.
 
 Everything operates on plain numpy arrays (complex128); ``check_density``
 validates a density matrix at an API boundary.

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from dense_reference import coupling_rank, tight_bound
-from localrange import harness
+from localrange import costs, harness
 from localrange.cli import cli_main
 from localrange.costs import Observable
 
@@ -41,10 +41,15 @@ def test_bounds_m2_closed_form_matches_dense(capsys):
             values = dict(line.split(" = ") for line in out.splitlines()[1:])
             inst = harness.setup_task(task, 7, m)
             n_a, n_ab = coupling_rank(inst.h, inst.part)
-            assert values["bound_tight"] == f"{tight_bound(inst.h, inst.part):.12g}"
+            assert values["bound_tight_formula"] == f"{tight_bound(inst.h, inst.part):.12g}"
             assert (values["N_A"], values["N_AB"]) == (f"{n_a}", f"{n_ab}")
-            if m == 2 and task != "qsl":
-                assert values["bound_tight_published"] == values["bound_tight"]
+            # bound_tight is the CSV's column of the same name
+            code, csv, _ = run_cli(capsys, "scaling", "--task", task, "--n", "7", "--m", str(m),
+                                   "--design-kind", "one_design", "--samples", "2")
+            assert code == 0
+            header, row = csv.splitlines()
+            column = float(row.split(",")[header.split(",").index("bound_tight")])
+            assert values["bound_tight"] == f"{column:.12g}"
 
 
 @pytest.mark.parametrize("m", [0, 3])
@@ -78,7 +83,7 @@ def test_bounds_runs_matrix_free_at_the_qubit_cap(monkeypatch, capsys):
 def test_bounds_rejects_n_above_cap(capsys, n):
     code, out, err = run_cli(capsys, "bounds", "--task", "qsl", "--n", str(n))
     assert code == 1
-    assert err.startswith("localrange: error: n:")
+    assert err.startswith("localrange: error: n_min/n_max:")
     assert "Traceback" not in err
     assert out == ""
 
@@ -153,7 +158,7 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for field, value in (("layers_multiplier", 1.5), ("task", ["vqe"]),
                          ("ensemble_config", ["both"]), ("design_kind", 2),
-                         ("optimizer", None), ("seed", True), ("samples", 2.0),
+                         ("optimizer", 1), ("seed", True), ("samples", 2.0),
                          ("m", False), ("layers", "4"), ("n_max", 3.0)):
         cfg.write_text(json.dumps({"task": "vqe", "n_min": 2, "samples": 2, field: value}))
         code, out, err = run_cli(capsys, "scaling", "--config", str(cfg))
@@ -211,18 +216,15 @@ def test_m1_runs_load_no_scipy(tmp_path):
     # scipy serves only m = 2 solves (expm, schur); a fresh process shows what loads
     out = tmp_path / "rows.csv"
     m1_runs = [["scaling", "--task", task, "--n", "3", "--n-max", "4", "--layers", "2",
-                "--samples", "2", "--optimizer", optimizer, "--out", str(out)]
-               for task in ("vqe", "qae", "qsl") for optimizer in ("exact", "grid")]
+                "--samples", "2", "--optimizer", "exact", "--out", str(out)]
+               for task in ("vqe", "qae", "qsl")]
     m1_runs += [["bounds", "--task", task, "--n", "6", "--m", m]
                 for task in ("vqe", "qae", "qsl") for m in ("1", "2")]
-    m1_runs += [["scaling", "--task", "vqe", "--n", "3", "--samples", "2", "--optimizer", "polar",
-                 "--out", str(out)],
-                ["layers", "--task", "vqe", "--n", "3", "--layer-list", "1,2", "--samples", "2",
+    m1_runs += [["layers", "--task", "vqe", "--n", "3", "--layer-list", "1,2", "--samples", "2",
                  "--out", str(out)],
                 ["selftest"],
                 ["validate-haar", "--samples", "200"]]
-    m2_run = ["scaling", "--task", "vqe", "--n", "3", "--m", "2", "--optimizer", "polar",
-              "--samples", "2", "--out", str(out)]
+    m2_run = ["scaling", "--task", "vqe", "--n", "3", "--m", "2", "--samples", "2", "--out", str(out)]
     res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(m1_runs), json.dumps(m2_run)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -230,6 +232,32 @@ def test_m1_runs_load_no_scipy(tmp_path):
     assert before == []
     assert "scipy.linalg" in after  # the probe sees scipy once an m = 2 solve loads it
     assert out.read_text().splitlines()[1].startswith("vqe,3,2,both,2,")
+
+
+def test_optimizer_names_only_the_solver_of_m(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--m", "2", "--samples", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("vqe,3,2,both,2,")
+    code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--optimizer", "grid")
+    assert code == 1
+    assert "--optimizer" in err and out == ""
+    for m, optimizer in (("1", "polar"), ("2", "exact")):
+        code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--m", m,
+                                 "--optimizer", optimizer, "--samples", "2")
+        assert code == 1
+        assert err.startswith("localrange: error: optimizer:"), err
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", [["bounds", "--n", "8"], ["scaling", "--n", "8", "--samples", "2"]])
+def test_lanczos_without_convergence_exits_four(monkeypatch, capsys, command):
+    # the Heisenberg chain at n = 8 needs more than 3 Lanczos steps
+    monkeypatch.setattr(costs, "LANCZOS_MAX_STEPS", 3)
+    code, out, err = run_cli(capsys, command[0], "--task", "vqe", *command[1:])
+    assert code == 4
+    assert err.startswith("localrange: numerical failure: Lanczos did not converge"), err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_bound_violation_exits_three(monkeypatch, capsys):
@@ -253,3 +281,12 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.slow
+def test_selftest_bound_check_can_fail(monkeypatch, capsys):
+    # a scaling run enforces only bound_general; selftest checks the tight bound
+    monkeypatch.setattr(harness, "task_tight_bound", lambda task, n, w, m=1: 0.0)
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+    assert code == 2
+    assert "[FAIL] variation range within [0, w] and below its tight bound" in out

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ class TestConfigValidation:
             ("design_kind", "clifford", "design_kind"),
             ("samples", 1, "samples"),
             ("optimizer", "lbfgs", "optimizer"),
+            ("optimizer", "polar", "^optimizer: m=1 is solved by 'exact'"),
             ("layers", -1, "layers"),
         ],
     )
@@ -65,6 +67,10 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="optimizer"):
                 small_cfg(m=2, n_min=3, n_max=3, optimizer=optimizer)
         assert small_cfg(m=2, n_min=3, n_max=3, optimizer="polar").optimizer == "polar"
+
+    def test_m2_rows_the_same_with_or_without_the_solver_named(self):
+        cfg = ExperimentConfig(task="qsl", n_min=3, n_max=4, m=2, layers=2, samples=2, seed=9)
+        assert run_scaling(cfg) == run_scaling(replace(cfg, optimizer="polar"))
 
 
 class TestRunScaling:
@@ -130,10 +136,11 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
 @pytest.mark.parametrize("task", ["qae", "qsl"])
 def test_sample_streams_are_the_spawned_children(task, optimizer):
     # each draw reads child i of the sample's SeedSequence, as spawn(4)[i] gives it;
-    # streams a sample does not use (fixed rho, no polar solve) are not built
-    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, layers=3, samples=2, seed=17,
+    # streams a sample does not use (fixed rho, no polar solve at m = 1) are not built
+    m = 1 if optimizer == "exact" else 2
+    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, m=m, layers=3, samples=2, seed=17,
                            optimizer=optimizer)
-    inst = harness.setup_task(task, 4, 1)
+    inst = harness.setup_task(task, 4, m)
     ens = harness._side_ensemble(cfg, 4, 3)
     for k in range(2):
         entropy = (17, harness.TASK_IDS[task], 4, k, 3, harness.ENSEMBLE_CONFIGS["both"])
