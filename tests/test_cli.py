@@ -187,14 +187,14 @@ def test_empty_layer_list_exits_one(capsys):
 
 
 def test_m2_scaling_runs_polar(capsys):
-    code, out, _ = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--m", "2",
-                           "--optimizer", "polar", "--samples", "2")
+    # m = 2 implies polar ascent; no flag names the solver
+    code, out, _ = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--m", "2", "--samples", "2")
     assert code == 0
     assert out.splitlines()[1].startswith("qsl,3,2,both,2,")
     code, out, err = run_cli(capsys, "scaling", "--task", "qsl", "--n", "3", "--m", "2",
-                             "--optimizer", "adam", "--samples", "2")
+                             "--optimizer", "polar", "--samples", "2")
     assert code == 1
-    assert "--optimizer" in err and out == ""
+    assert "unrecognized arguments: --optimizer polar" in err and out == ""
 
 
 _SCIPY_PROBE = """
@@ -216,7 +216,7 @@ def test_m1_runs_load_no_scipy(tmp_path):
     # scipy serves only m = 2 solves (expm, schur); a fresh process shows what loads
     out = tmp_path / "rows.csv"
     m1_runs = [["scaling", "--task", task, "--n", "3", "--n-max", "4", "--layers", "2",
-                "--samples", "2", "--optimizer", "exact", "--out", str(out)]
+                "--samples", "2", "--out", str(out)]
                for task in ("vqe", "qae", "qsl")]
     m1_runs += [["bounds", "--task", task, "--n", "6", "--m", m]
                 for task in ("vqe", "qae", "qsl") for m in ("1", "2")]
@@ -234,19 +234,19 @@ def test_m1_runs_load_no_scipy(tmp_path):
     assert out.read_text().splitlines()[1].startswith("vqe,3,2,both,2,")
 
 
-def test_optimizer_names_only_the_solver_of_m(capsys):
-    code, out, _ = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--m", "2", "--samples", "2")
-    assert code == 0
-    assert out.splitlines()[1].startswith("vqe,3,2,both,2,")
-    code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--optimizer", "grid")
-    assert code == 1
-    assert "--optimizer" in err and out == ""
-    for m, optimizer in (("1", "polar"), ("2", "exact")):
-        code, out, err = run_cli(capsys, "scaling", "--task", "vqe", "--n", "3", "--m", m,
-                                 "--optimizer", optimizer, "--samples", "2")
-        assert code == 1
-        assert err.startswith("localrange: error: optimizer:"), err
-        assert out == ""
+def test_config_optimizer_names_only_the_solver_of_m(capsys, tmp_path):
+    # the config file's optimizer key may echo m's solver, and nothing else
+    for m, optimizer, expected in ((1, "exact", 0), (2, "polar", 0), (1, "polar", 1), (2, "exact", 1)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": "vqe", "n_min": 3, "m": m, "samples": 2,
+                                    "optimizer": optimizer}))
+        code, out, err = run_cli(capsys, "scaling", "--config", str(path))
+        assert code == expected, (m, optimizer, err)
+        if expected:
+            assert err.startswith("localrange: error: optimizer:"), err
+            assert out == ""
+        else:
+            assert out.splitlines()[1].startswith(f"vqe,3,{m},both,2,")
 
 
 @pytest.mark.parametrize("command", [["bounds", "--n", "8"], ["scaling", "--n", "8", "--samples", "2"]])
@@ -289,4 +289,4 @@ def test_selftest_bound_check_can_fail(monkeypatch, capsys):
     monkeypatch.setattr(harness, "task_tight_bound", lambda task, n, w, m=1: 0.0)
     code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
     assert code == 2
-    assert "[FAIL] variation range within [0, w] and below its tight bound" in out
+    assert "[FAIL] variation range below a tight bound that is below w" in out
