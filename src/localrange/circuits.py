@@ -2,8 +2,10 @@
 
 Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
 ``GateProgram``: its fused segments, each one 2 x 2 factor per qubit then a CZ
-run, drawn directly by ``sample_circuit``; a ``GateSpec`` list is an input
-format, parsed once by ``GateProgram.from_gates``. ``apply_stack`` runs a
+run, drawn directly by ``sample_circuit``, which draws a stack of programs from
+a list of generators and checks their factors unitary once, with the check
+``GateProgram`` runs; a ``GateSpec`` list is an input format, parsed once by
+``GateProgram.from_gates``. ``apply_stack`` runs a
 stack of programs sharing their CZ runs (``GateProgram.apply``: a stack of one)
 segment by segment: ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
 gemm per program whatever the column count, then the CZ run as one diagonal.
@@ -15,7 +17,6 @@ Only ``np.asarray`` (small-n checks) forms the 2^n x 2^n matrix.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,6 +167,19 @@ def _cz_signs(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return signs
 
 
+def _check_unitary(factors: np.ndarray, axes: tuple[str, ...]) -> None:
+    """ValueError naming the worst 2 x 2 factor if one is off unitary by more than
+    UNITARY_ATOL, or NaN. ``factors`` has one leading axis per name in ``axes``."""
+    # max |F+ F - I| of each F = [[a, b], [c, d]]: its column norms and their overlap
+    a, b, c, d = factors.reshape(-1, 4).T
+    err = np.maximum.reduce([abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
+                             abs(a.conj() * b + c.conj() * d)])
+    if err.size and not err.max() <= UNITARY_ATOL:  # NaN fails too
+        where = np.unravel_index(int(err.argmax()), factors.shape[:-2])
+        raise ValueError(f"factor of {', '.join(f'{name} {i}' for name, i in zip(axes, where))} "
+                         f"is not unitary: max |F+ F - I| = {err.max():.3e} > {UNITARY_ATOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class GateProgram:
     """A circuit on n qubits as its fused segments, first segment first.
@@ -190,17 +204,18 @@ class GateProgram:
         for a, b in {pair for run in set(cz_runs) for pair in run}:
             if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
                 raise ValueError(f"cz pair ({a}, {b}) needs two different qubits below n={self.n}")
-        # max |F+ F - I| of each F = [[a, b], [c, d]]: its column norms and their overlap
-        a, b, c, d = factors.reshape(-1, 4).T
-        err = np.maximum.reduce([abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
-                                 abs(a.conj() * b + c.conj() * d)])
-        if err.size and not err.max() <= UNITARY_ATOL:  # NaN fails too
-            s, q = divmod(int(err.argmax()), self.n)
-            raise ValueError(f"factor of segment {s}, qubit {q} is not unitary: "
-                             f"max |F+ F - I| = {err.max():.3e} > {UNITARY_ATOL}")
+        _check_unitary(factors, ("segment", "qubit"))
         factors.flags.writeable = False
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "cz_runs", cz_runs)
+
+    @classmethod
+    def _checked(cls, n: int, factors: np.ndarray, cz_runs) -> GateProgram:
+        """The program of read-only factors already checked unitary, taken as they are."""
+        program = object.__new__(cls)
+        for name, value in (("n", n), ("factors", factors), ("cz_runs", cz_runs)):
+            object.__setattr__(program, name, value)
+        return program
 
     @classmethod
     def from_gates(cls, n: int, gates) -> GateProgram:
@@ -248,10 +263,7 @@ class GateProgram:
             factors = np.concatenate([np.broadcast_to(np.eye(2), (1, self.n, 2, 2)), factors])
             cz_runs = (self.cz_runs[-1],) + cz_runs
         factors.flags.writeable = False
-        adjoint = copy.copy(self)
-        object.__setattr__(adjoint, "factors", factors)
-        object.__setattr__(adjoint, "cz_runs", cz_runs)
-        return adjoint
+        return self._checked(self.n, factors, cz_runs)
 
     def apply(self, states) -> np.ndarray:
         """U applied to a (2^n,) vector or to each column of a (2^n, k) block."""
@@ -302,26 +314,44 @@ def apply_stack(programs, states) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def sample_circuit(ensemble: CircuitEnsemble, rng: np.random.Generator) -> GateProgram:
-    """Draw one circuit from the ensemble, straight into its segments."""
-    n = ensemble.n
+def sample_circuit(ensemble: CircuitEnsemble,
+                   rng: np.random.Generator | list[np.random.Generator]) -> GateProgram | list[GateProgram]:
+    """Draw one circuit per generator, straight into its segments.
+
+    ``rng`` is one Generator, giving one GateProgram, or a list of them (a stack),
+    giving one program per generator in a list; the programs share their CZ runs.
+    Each generator is read exactly as a draw of its own reads it. The stack's
+    factors are built together and checked unitary once.
+    """
+    rngs = rng if isinstance(rng, list) else [rng]
+    n, stack = ensemble.n, len(rngs)
     if ensemble.kind == "identity":
-        return GateProgram.from_gates(n, ())
-    if ensemble.kind == "one_design_layer":
+        factors, cz_runs = np.zeros((stack, 0, n, 2, 2), dtype=complex), ()
+    elif ensemble.kind == "one_design_layer":
         # a row (phi, theta, alpha) per qubit, axes (z, y, z): Rz(phi) (Ry(theta) Rz(alpha))
-        m = _rotation_matrices([2, 1, 2], rng.random((n, 3)) * (2 * np.pi))
-        return GateProgram(n, [m[:, 0] @ (m[:, 1] @ m[:, 2])], ((),))
+        angles = np.empty((stack, n, 3))
+        for k, r in enumerate(rngs):
+            r.random(out=angles[k])
+        m = _rotation_matrices([2, 1, 2], angles * (2 * np.pi))
+        factors, cz_runs = (m[:, :, 0] @ (m[:, :, 1] @ m[:, :, 2]))[:, None], ((),)
     # hardware_efficient: Ry(pi/4) on every qubit, then `layers` random layers of
     # uniform-axis rotations, each ended by the nearest-neighbor CZ chain.
-    wall = rotation("y", np.pi / 4)
-    if ensemble.layers == 0:
-        return GateProgram(n, np.broadcast_to(wall, (1, n, 2, 2)), ((),))
-    draws = [(rng.integers(0, 3, size=n), rng.random(n) * (2 * np.pi))
-             for _ in range(ensemble.layers)]
-    factors = _rotation_matrices(*map(np.array, zip(*draws)))  # (axes, angles), each (layers, n)
-    factors[0] = factors[0] @ wall
-    chain = tuple((q, q + 1) for q in range(n - 1))
-    return GateProgram(n, factors, (chain,) * ensemble.layers)
+    elif ensemble.layers == 0:
+        factors, cz_runs = np.broadcast_to(rotation("y", np.pi / 4), (stack, 1, n, 2, 2)), ((),)
+    else:
+        layers = ensemble.layers
+        axes, angles = np.empty((stack, layers, n), dtype=int), np.empty((stack, layers, n))
+        for k, r in enumerate(rngs):
+            for layer in range(layers):
+                axes[k, layer] = r.integers(0, 3, size=n)
+                r.random(out=angles[k, layer])
+        factors = _rotation_matrices(axes, angles * (2 * np.pi))
+        factors[:, 0] = factors[:, 0] @ rotation("y", np.pi / 4)
+        cz_runs = (tuple((q, q + 1) for q in range(n - 1)),) * layers
+    _check_unitary(factors, ("sample", "segment", "qubit"))
+    factors.flags.writeable = False
+    programs = [GateProgram._checked(n, f, cz_runs) for f in factors]
+    return programs if isinstance(rng, list) else programs[0]
 
 
 @lru_cache(maxsize=1)

@@ -156,7 +156,7 @@ def _cmd_bounds(args) -> int:
     print(f"bound_general = {rep.general:.12g}")
     print(f"bound_variance = {rep.variance:.12g}")
     print(f"bound_tight = {task_tight_bound(args.task, args.n, inst.w, args.m):.12g}")
-    print(f"bound_tight_formula = {rep.tight:.12g}")
+    print(f"bound_tight_formula = {rep.tight_formula:.12g}")
     if rep.qsl is not None:
         print(f"bound_qsl = {rep.qsl:.12g}")
     print(f"N_A = {rep.n_a}")

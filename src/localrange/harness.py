@@ -157,33 +157,34 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
     return CircuitEnsemble(kind=kind, n=n, layers=layers if kind == "hardware_efficient" else None)
 
 
-def _sample_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, k: int, layers: int):
-    """Sample k's V1, V2 (None on an identity side), rho and solver rng (None unless m = 2).
+def _stack_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int):
+    """Samples ks' V1s, V2s (each None on an identity side), rhos and solver rngs (None
+    unless m = 2), each circuit side drawn as one stack.
 
-    Each draw has its own stream, child i = 0..3 of the sample's SeedSequence
-    (the i-th of ``spawn(4)``), built only when the sample uses it.
+    Each sample's draws have their own streams, child i = 0..3 of the sample's
+    SeedSequence (the i-th of ``spawn(4)``), built only when the sample uses them.
     """
-    entropy = (cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
-
-    def stream(i: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+    def streams(i: int) -> list[np.random.Generator]:
+        """Child i of each sample's SeedSequence, one generator per sample."""
+        entropies = [(cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
+                     for k in ks]
+        return [np.random.default_rng(np.random.SeedSequence(e, spawn_key=(i,))) for e in entropies]
 
     ens = _side_ensemble(cfg, n, layers)
-    v1 = v2 = None
+    v1s = v2s = None
     if cfg.ensemble_config in ("v1_design", "both") and ens.kind != "identity":
-        v1 = sample_circuit(ens, stream(0))
+        v1s = sample_circuit(ens, streams(0))
     if cfg.ensemble_config in ("v2_design", "both") and ens.kind != "identity":
-        v2 = sample_circuit(ens, stream(1))
-    rho = inst.rho if inst.rho is not None else random_pure_state(2**n, stream(2))
-    return v1, v2, rho, stream(3) if cfg.m == 2 else None
+        v2s = sample_circuit(ens, streams(1))
+    rhos = ([inst.rho] * len(ks) if inst.rho is not None
+            else [random_pure_state(2**n, rng) for rng in streams(2)])
+    return v1s, v2s, rhos, streams(3) if cfg.m == 2 else None
 
 
 def _stack_deltas(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int) -> list[float]:
-    """Variation ranges of samples ks: drawn and solved one by one, contracted as one stack."""
-    draws = [_sample_draws(cfg, inst, n, k, layers) for k in ks]
-    v1s, v2s, rhos, rngs = (list(side) for side in zip(*draws))
-    ts = transfer_tensor(inst.h, rhos, None if v1s[0] is None else v1s,
-                         None if v2s[0] is None else v2s, inst.part)
+    """Variation ranges of samples ks: drawn and contracted as one stack, solved one by one."""
+    v1s, v2s, rhos, rngs = _stack_draws(cfg, inst, n, ks, layers)
+    ts = transfer_tensor(inst.h, rhos, v1s, v2s, inst.part)
     if cfg.m == 1:
         return [variation_range_exact_m1(t).delta for t in ts]
     return [variation_range_polar(t, rng).delta for t, rng in zip(ts, rngs)]

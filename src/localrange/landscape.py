@@ -15,6 +15,7 @@ one qubit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -259,28 +260,32 @@ def _zyz_from_quaternion(q: np.ndarray) -> LocalUnitaryParams:
     Rz(phi) Ry(theta) Rz(alpha) has q0 - i q3 = cos(theta/2) e^{-i(phi+alpha)/2}
     and q2 - i q1 = sin(theta/2) e^{i(phi-alpha)/2}, the poles included.
     """
-    q0, q1, q2, q3 = q * np.sign(q[np.argmax(np.abs(q))])
-    plus, minus = 2.0 * np.arctan2(q3, q0), 2.0 * np.arctan2(-q1, q2)
-    theta = 2.0 * np.arctan2(np.hypot(q1, q2), np.hypot(q0, q3))
+    q = q.tolist()
+    if max(q, key=abs) < 0:
+        q = [-x for x in q]
+    q0, q1, q2, q3 = q
+    plus, minus = 2.0 * math.atan2(q3, q0), 2.0 * math.atan2(-q1, q2)
+    theta = 2.0 * math.atan2(math.hypot(q1, q2), math.hypot(q0, q3))
     return LocalUnitaryParams(((plus + minus) / 2, theta, (plus - minus) / 2))
 
 
 def variation_range_exact_m1(t: TransferTensor) -> VariationResult:
     """Closed-form range: the extreme eigenpairs of S, centred on tr(S)/4 for accuracy."""
     s = quaternion_form(t)
-    c0 = np.trace(s) / 4
+    c0 = float(s.trace()) / 4
     w, v = np.linalg.eigh(s - c0 * np.eye(4))
-    delta = float(w[3] - w[0])
+    lo, w1, w2, hi = w.tolist()
+    delta = hi - lo
     return VariationResult(
-        max_value=float(c0 + w[3]),
-        min_value=float(c0 + w[0]),
+        max_value=c0 + hi,
+        min_value=c0 + lo,
         delta=delta,
         argmax=_zyz_from_quaternion(v[:, 3]),
         argmin=_zyz_from_quaternion(v[:, 0]),
         method="exact",
         iterations=0,
         converged=True,
-        degenerate=bool(min(w[1] - w[0], w[3] - w[2]) <= DEGENERACY_RTOL * delta),
+        degenerate=min(w1 - lo, hi - w2) <= DEGENERACY_RTOL * delta,
     )
 
 
@@ -496,7 +501,7 @@ def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
 class BoundReport:
     general: float
     variance: float
-    tight: float
+    tight_formula: float
     qsl: float | None
     n_a: int
     n_ab: int
@@ -509,7 +514,7 @@ def bound_report(task: str, n: int, m: int, w: float) -> BoundReport:
     return BoundReport(
         general=theorem1_bound(w, n, m),
         variance=variance_bound(w, n, m),
-        tight=tight_bound_formula(task, n, w, m),
+        tight_formula=tight_bound_formula(task, n, w, m),
         qsl=qsl_bound(n, m) if task == "qsl" else None,
         n_a=n_a,
         n_ab=n_ab,

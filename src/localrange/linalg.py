@@ -44,7 +44,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(abs(a).max()) if a.size else 0.0
 
 
 def is_hermitian(m: np.ndarray, atol: float) -> bool:

@@ -22,6 +22,7 @@ from localrange.circuits import (
     GateSpec,
     LocalUnitaryParams,
     _qubit_blocks,
+    _rotation_matrices,
     apply_stack,
     euler_zyz,
     local_unitary,
@@ -197,6 +198,45 @@ def test_built_programs_pass_the_unitarity_check():
                              np.random.default_rng(3))
     err = np.abs(program.factors.conj().swapaxes(-1, -2) @ program.factors - np.eye(2)).max()
     assert err < 1e-14
+
+
+@pytest.mark.parametrize("stack", [1, 3, 16])
+@pytest.mark.parametrize("kind,layers", [
+    ("one_design_layer", None), ("hardware_efficient", 4), ("hardware_efficient", 0),
+])
+def test_stack_draw_matches_draws_one_by_one(kind, layers, stack):
+    # bit for bit: program k of a stack is the program its generator draws alone,
+    # and each generator is left where a draw of its own leaves it
+    ens = CircuitEnsemble(kind, 5, layers=layers)
+    rngs = [np.random.default_rng(40 + k) for k in range(stack)]
+    programs = sample_circuit(ens, rngs)
+    assert isinstance(programs, list) and len(programs) == stack
+    for k, (program, rng) in enumerate(zip(programs, rngs)):
+        alone = np.random.default_rng(40 + k)
+        want = sample_circuit(ens, alone)
+        assert isinstance(want, GateProgram)
+        assert program.factors.shape == want.factors.shape
+        assert program.factors.tobytes() == want.factors.tobytes()
+        assert program.cz_runs == want.cz_runs
+        assert not program.factors.flags.writeable
+        assert rng.bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, np.nan])
+def test_stack_draw_names_the_sample_of_a_bad_factor(monkeypatch, bad):
+    # the stack's one check names sample, segment and qubit of the factor it refuses
+    from localrange import circuits
+
+    def rotations(axes, angles):
+        m = _rotation_matrices(axes, angles)
+        if m.ndim == 5:  # the stack's (sample, layer, qubit) rotations, not the Ry(pi/4) wall
+            m[2, 3, 1] *= bad
+        return m
+
+    monkeypatch.setattr(circuits, "_rotation_matrices", rotations)
+    rngs = [np.random.default_rng(k) for k in range(4)]
+    with pytest.raises(ValueError, match="factor of sample 2, segment 3, qubit 1 is not unitary"):
+        sample_circuit(CircuitEnsemble("hardware_efficient", 3, layers=5), rngs)
 
 
 def test_dense_form_refused_above_max_dim():

@@ -124,7 +124,9 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
     inst = harness.setup_task(task, 5, 1)
     layers = harness._effective_layers(cfg, 5)
     got = harness._stack_deltas(cfg, inst, 5, range(2), layers)
-    monkeypatch.setattr(harness, "sample_circuit", sample_circuit_dense)
+    # the dense oracle draws one circuit per generator of the stack
+    monkeypatch.setattr(harness, "sample_circuit",
+                        lambda ens, rngs: [sample_circuit_dense(ens, rng) for rng in rngs])
     monkeypatch.setattr(harness, "transfer_tensor", lambda h, rhos, v1s, v2s, part: [
         TransferTensor(part, transfer_tensor_dense(h, rho, v1, v2, part).reshape(4, 4))
         for rho, v1, v2 in zip(rhos, v1s or [None] * 2, v2s or [None] * 2)])
@@ -135,33 +137,35 @@ def test_sample_delta_matches_dense_path(monkeypatch, task, ensemble_config):
 @pytest.mark.parametrize("optimizer", ["exact", "polar"])
 @pytest.mark.parametrize("task", ["qae", "qsl"])
 def test_sample_streams_are_the_spawned_children(task, optimizer):
-    # each draw reads child i of the sample's SeedSequence, as spawn(4)[i] gives it;
-    # streams a sample does not use (fixed rho, no polar solve at m = 1) are not built
+    # each draw of sample k in a stack reads child i of sample k's SeedSequence, as
+    # spawn(4)[i] gives it; streams a sample does not use (fixed rho, no polar solve
+    # at m = 1) are not built
     m = 1 if optimizer == "exact" else 2
-    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, m=m, layers=3, samples=2, seed=17,
+    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, m=m, layers=3, samples=3, seed=17,
                            optimizer=optimizer)
     inst = harness.setup_task(task, 4, m)
     ens = harness._side_ensemble(cfg, 4, 3)
-    for k in range(2):
+    v1s, v2s, rhos, rngs_opt = harness._stack_draws(cfg, inst, 4, range(3), 3)
+    assert len(v1s) == len(v2s) == len(rhos) == 3
+    for k in range(3):
         entropy = (17, harness.TASK_IDS[task], 4, k, 3, harness.ENSEMBLE_CONFIGS["both"])
         children = np.random.SeedSequence(entropy).spawn(4)
         for i, child in enumerate(children):
             built = np.random.SeedSequence(entropy, spawn_key=(i,))
             assert np.array_equal(built.generate_state(8), child.generate_state(8))
-        v1, v2, rho, rng_opt = harness._sample_draws(cfg, inst, 4, k, 3)
         rngs = [np.random.default_rng(child) for child in children]
-        for got, rng in ((v1, rngs[0]), (v2, rngs[1])):
+        for got, rng in ((v1s[k], rngs[0]), (v2s[k], rngs[1])):
             want = harness.sample_circuit(ens, rng)
             assert got.cz_runs == want.cz_runs
             assert np.array_equal(got.factors, want.factors)
         if task == "qae":
-            assert np.array_equal(rho, harness.random_pure_state(16, rngs[2]))
+            assert np.array_equal(rhos[k], harness.random_pure_state(16, rngs[2]))
         else:
-            assert rho is inst.rho
+            assert rhos[k] is inst.rho
         if optimizer == "polar":
-            assert rng_opt.bit_generator.state == rngs[3].bit_generator.state
-        else:
-            assert rng_opt is None
+            assert rngs_opt[k].bit_generator.state == rngs[3].bit_generator.state
+    if optimizer == "exact":
+        assert rngs_opt is None
 
 
 @pytest.mark.parametrize("cfg", [

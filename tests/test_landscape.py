@@ -34,6 +34,7 @@ from localrange.haar import haar_random_unitary
 from localrange.landscape import (
     BoundViolation,
     ParameterizedCircuit,
+    bound_report,
     coupling_ranks,
     delta_mu,
     expectation,
@@ -234,6 +235,35 @@ class TestExactOracle:
         assert res.argmin.values[1] == pytest.approx(theta_min, abs=1e-14)
         assert t.evaluate(euler_zyz(*res.argmax.values)) == pytest.approx(max(diag), abs=1e-14)
         assert t.evaluate(euler_zyz(*res.argmin.values)) == pytest.approx(min(diag), abs=1e-14)
+
+    @pytest.mark.parametrize("q_max,q_min", [
+        ((0.6, 0.0, 0.0, -0.8), (0.8, 0.0, 0.0, 0.6)),  # q1 = q2 = 0: theta = 0
+        ((0.0, -0.28, 0.96, 0.0), (0.0, -0.96, -0.28, 0.0)),  # q0 = q3 = 0: theta = pi
+        ((0.1, -0.7, 0.5, 0.5), (-0.7, -0.1, -0.5, 0.5)),  # largest |q_a| negative
+    ])
+    def test_zyz_at_poles_and_negative_largest_entry(self, q_max, q_min):
+        # S with unique extreme eigenvectors q_max and q_min: the solver's angles and
+        # the angles of +-q (and of q with its zeros negated) attain the extremes
+        q_max, q_min = np.array(q_max), np.array(q_min)
+        r = np.linalg.qr(np.stack([q_max, q_min, *np.eye(4)[:2]], axis=1))[0]
+        r[:, :2] = np.stack([q_max, q_min], axis=1)  # qr may flip signs
+        s = r @ np.diag([2.0, -1.5, 0.5, -0.25]) @ r.T
+        basis = np.stack([PAULI["I"]] + [-1j * PAULI[a] for a in "XYZ"])
+        tensor = np.einsum("ab,aij,bkl->ijkl", s, basis.conj(), basis) / 4
+        t = landscape.TransferTensor(BipartitePartition(2, (0,)), tensor.reshape(4, 4))
+        assert np.allclose(quaternion_form(t), s, atol=1e-15)
+        res = variation_range_exact_m1(t)
+        assert res.delta == pytest.approx(3.5, abs=1e-14)
+        assert abs(t.evaluate(euler_zyz(*res.argmax.values)) - res.max_value) <= 1e-12
+        assert abs(t.evaluate(euler_zyz(*res.argmin.values)) - res.min_value) <= 1e-12
+        for q, value in ((q_max, 2.0), (q_min, -1.5)):
+            for variant in (q, -q, np.where(q == 0, -q, q)):
+                angles = landscape._zyz_from_quaternion(variant).values
+                assert all(type(a) is float for a in angles)
+                sign = np.sign(variant[np.argmax(np.abs(variant))])
+                want = np.einsum("a,aij->ij", sign * variant, basis)
+                assert np.allclose(euler_zyz(*angles), want, rtol=0.0, atol=1e-15)
+                assert abs(t.evaluate(euler_zyz(*angles)) - value) <= 1e-12
 
     def test_argmax_argmin_achieve_extremes(self):
         rng = np.random.default_rng(6)
@@ -618,6 +648,20 @@ class TestCouplingRank:
         for task in ("vqe", "qae", "qsl"):
             with pytest.raises(ValueError):
                 task_tight_bound(task, 6, 1.0, m=3)
+
+
+@pytest.mark.parametrize("task", ["vqe", "qae", "qsl"])
+def test_bound_report_tight_formula_is_not_the_row_bound(task):
+    # the report's tight_formula is the formula, while a row's bound_tight is
+    # task_tight_bound; they differ for m = 1 vqe and qae (vqe n = 7: 12.11 against 39.08)
+    n = 7
+    inst = harness.setup_task(task, n, 1)
+    rep = bound_report(task, n, 1, inst.w)
+    assert rep.tight_formula == tight_bound_formula(task, n, inst.w, 1)
+    cfg = harness.ExperimentConfig(task=task, n_min=n, n_max=n, design_kind="one_design", samples=2)
+    row = harness.run_scaling(cfg)[0]
+    assert row.bound_tight == task_tight_bound(task, n, inst.w, 1)
+    assert (row.bound_tight == rep.tight_formula) == (task == "qsl")
 
 
 def _ry_z_circuit():
