@@ -4,7 +4,9 @@ Rotation convention: R_P(theta) = exp(-i theta P / 2). A sampled circuit is a
 ``GateProgram``: its fused segments, each one 2 x 2 factor per qubit then a CZ
 run, drawn directly by ``sample_circuit``, which draws a stack of programs from
 a list of generators and checks their factors unitary once, with the check
-``GateProgram`` runs; a ``GateSpec`` list is an input format, parsed once by
+``GateProgram`` runs. A hardware-efficient sample's axes and angles come from
+one raw read of its generator, decoded as numpy's per-layer draws decode it
+(``_draw_layers``). A ``GateSpec`` list is an input format, parsed once by
 ``GateProgram.from_gates``. ``apply_stack`` runs a
 stack of programs sharing their CZ runs (``GateProgram.apply``: a stack of one)
 segment by segment: ceil(n / 5) Kronecker blocks of at most 5 qubits, each one
@@ -314,6 +316,67 @@ def apply_stack(programs, states) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+@lru_cache(maxsize=64)
+def _raw_layout(n: int, layers: int, cached: bool) -> tuple[int, np.ndarray, np.ndarray, int, bool]:
+    """Where ``layers`` per-layer draws of ``integers(0, 3, size=n)`` then
+    ``random(n)`` read a PCG64 stream, if no axis draw is rejected.
+
+    Half-word 0 is the bit generator's cached ``uinteger`` (used first when
+    ``cached``), and the low and high halves of raw word j are half-words
+    2j + 1 and 2j + 2. An axis takes the cached half if there is one, else the
+    low half of a new word, caching its high half; an angle takes a whole word.
+    Returns the word count, the axes' half-words and the angles' words (both
+    (layers, n), read-only), and the cached half-word and flag at the end.
+    """
+    axis_halves, angle_words = np.empty((layers, n), dtype=np.intp), np.empty((layers, n), dtype=np.intp)
+    words, last = 0, 0
+    for layer in range(layers):
+        for q in range(n):
+            if cached:
+                axis_halves[layer, q] = last
+            else:
+                axis_halves[layer, q], last = 2 * words + 1, 2 * words + 2
+                words += 1
+            cached = not cached
+        angle_words[layer] = np.arange(words, words + n)
+        words += n
+    axis_halves.flags.writeable = angle_words.flags.writeable = False  # shared through the cache
+    return words, axis_halves, angle_words, last, cached
+
+
+def _draw_layers(r: np.random.Generator, axes: np.ndarray, angles: np.ndarray) -> None:
+    """Fill (layers, n) ``axes`` and ``angles`` as per-layer ``r.integers(0, 3, size=n)``
+    and ``r.random(out=angles[layer])`` do, leaving r in the same state.
+
+    A PCG64 generator is read with one ``random_raw`` call, decoded as numpy
+    decodes its words: an axis is Lemire's (u * 3) >> 32 of a 32-bit half-word u
+    (low half first, the high half cached in ``has_uint32``/``uinteger`` for the
+    next one), an angle is (word >> 11) * 2^-53. For range 3 Lemire rejects only
+    u = 0; then, or for another bit generator, r is restored and read per layer.
+    """
+    (layers, n), bg = axes.shape, r.bit_generator
+    if type(bg) is np.random.PCG64:
+        start = bg.state
+        words, axis_halves, angle_words, last, cached = _raw_layout(n, layers, bool(start["has_uint32"]))
+        raw = bg.random_raw(words)
+        halves = np.empty(2 * words + 1, dtype=np.uint64)
+        halves[0] = start["uinteger"]
+        halves[1::2] = raw & 0xFFFFFFFF
+        halves[2::2] = raw >> 32
+        u = halves[axis_halves]
+        if u.all():
+            axes[...] = (u * 3) >> 32
+            angles[...] = (raw[angle_words] >> 11) * 2.0**-53
+            end = {"has_uint32": int(cached), "uinteger": int(halves[last])}
+            if end != {key: start[key] for key in end}:
+                bg.state = {**bg.state, **end}
+            return
+        bg.state = start
+    for layer in range(layers):
+        axes[layer] = r.integers(0, 3, size=n)
+        r.random(out=angles[layer])
+
+
 def sample_circuit(ensemble: CircuitEnsemble,
                    rng: np.random.Generator | list[np.random.Generator]) -> GateProgram | list[GateProgram]:
     """Draw one circuit per generator, straight into its segments.
@@ -342,9 +405,7 @@ def sample_circuit(ensemble: CircuitEnsemble,
         layers = ensemble.layers
         axes, angles = np.empty((stack, layers, n), dtype=int), np.empty((stack, layers, n))
         for k, r in enumerate(rngs):
-            for layer in range(layers):
-                axes[k, layer] = r.integers(0, 3, size=n)
-                r.random(out=angles[k, layer])
+            _draw_layers(r, axes[k], angles[k])
         factors = _rotation_matrices(axes, angles * (2 * np.pi))
         factors[:, 0] = factors[:, 0] @ rotation("y", np.pi / 4)
         cz_runs = (tuple((q, q + 1) for q in range(n - 1)),) * layers

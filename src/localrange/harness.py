@@ -157,6 +157,20 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
     return CircuitEnsemble(kind=kind, n=n, layers=layers if kind == "hardware_efficient" else None)
 
 
+def _entropy_words(values) -> np.ndarray:
+    """Nonnegative ints as the uint32 entropy SeedSequence makes of them: each split
+    into little-endian 32-bit words (0 is one word), in order. A ready uint32 array
+    skips numpy's own splitting, which costs more than the generator it seeds."""
+    words = []
+    for x in values:
+        if x < 0:
+            raise ValueError(f"expected non-negative integer, got {x}")
+        words.append(x & 0xFFFFFFFF)
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _stack_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers: int):
     """Samples ks' V1s, V2s (each None on an identity side), rhos and solver rngs (None
     unless m = 2), each circuit side drawn as one stack.
@@ -164,11 +178,13 @@ def _stack_draws(cfg: ExperimentConfig, inst: _TaskInstance, n: int, ks, layers:
     Each sample's draws have their own streams, child i = 0..3 of the sample's
     SeedSequence (the i-th of ``spawn(4)``), built only when the sample uses them.
     """
+    entropies = [_entropy_words((cfg.seed, TASK_IDS[cfg.task], n, k, layers,
+                                 ENSEMBLE_CONFIGS[cfg.ensemble_config])) for k in ks]
+
     def streams(i: int) -> list[np.random.Generator]:
         """Child i of each sample's SeedSequence, one generator per sample."""
-        entropies = [(cfg.seed, TASK_IDS[cfg.task], n, k, layers, ENSEMBLE_CONFIGS[cfg.ensemble_config])
-                     for k in ks]
-        return [np.random.default_rng(np.random.SeedSequence(e, spawn_key=(i,))) for e in entropies]
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(e, spawn_key=(i,))))
+                for e in entropies]
 
     ens = _side_ensemble(cfg, n, layers)
     v1s = v2s = None

@@ -11,7 +11,11 @@ ranks and the tight bound are computed from the dense H, as the oracle for
 their closed forms. ``apply_gatewise`` applies a gate list one gate at a
 time, as the oracle for the layer-fused ``GateProgram.apply``, and
 ``sample_gates`` draws each circuit ensemble as a gate list, as the oracle for
-``sample_circuit``, which draws the fused factors directly. ``variation_range_adam``,
+``sample_circuit``, which draws the fused factors directly;
+``draw_layers_per_layer`` reads a generator layer by layer, as the oracle for
+the one-read decode of a hardware-efficient draw. ``lowest_eigenvalue_every_step``
+is the Lanczos diagonalizing T after every step, as the oracle for the one that
+checks every few steps. ``variation_range_adam``,
 gradient ascent in the ZYZ angles (m = 1) or the 15 su(4) coefficients (m = 2)
 with analytic gradients through ``expm_frechet``, is the oracle for the polar
 solver. The Bures fidelity with its rank bound, and the first-moment Haar
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
+from localrange import costs
 from localrange.circuits import (
     ROTATION_KINDS,
     GateSpec,
@@ -202,6 +207,15 @@ def sample_gates(ensemble, rng):
     return gates
 
 
+def draw_layers_per_layer(rng, axes, angles):
+    """Fill (layers, n) ``axes`` and ``angles`` with numpy's own per-layer draws,
+    ``integers(0, 3, size=n)`` then ``random(n)``: the oracle for the one-read
+    decode of ``circuits._draw_layers``, with its signature."""
+    for layer in range(len(axes)):
+        axes[layer] = rng.integers(0, 3, size=axes.shape[1])
+        rng.random(out=angles[layer])
+
+
 def sample_circuit_dense(ensemble, rng):
     """The dense unitary of `sample_circuit`, drawing from rng in the same order."""
     n = ensemble.n
@@ -224,6 +238,31 @@ def sample_circuit_dense(ensemble, rng):
             u = apply_single_qubit(u, rotation("xyz"[axes[q]], angles[q]), q, n)
         u = cz[:, None] * u
     return u
+
+
+def lowest_eigenvalue_every_step(h):
+    """``costs._lowest_eigenvalue`` testing every step: (theta_0, the step it returned at).
+
+    The same Lanczos, with T diagonalized after each step, as the oracle for the
+    solver that tests only every few steps.
+    """
+    v = np.random.default_rng(h.n).standard_normal(2**h.n)
+    v /= np.linalg.norm(v)
+    v_prev, b = np.zeros_like(v), 0.0
+    alpha, beta = [], []
+    for step in range(1, costs.LANCZOS_MAX_STEPS + 1):
+        w = h.apply(v)
+        w -= b * v_prev
+        a = float(v @ w)
+        w -= a * v
+        b = float(np.linalg.norm(w))
+        alpha.append(a)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if b * abs(s[-1, 0]) <= costs.LANCZOS_RTOL * max(1.0, abs(theta[0])):
+            return float(theta[0]), step
+        beta.append(b)
+        v_prev, v = v, w / b
+    raise costs.ConvergenceError(f"Lanczos did not converge in {costs.LANCZOS_MAX_STEPS} steps")
 
 
 def transfer_tensor_dense(h, rho, v1, v2, part):

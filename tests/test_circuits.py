@@ -10,6 +10,7 @@ from dense_reference import (
     apply_single_qubit,
     assemble,
     cz_diag,
+    draw_layers_per_layer,
     embed_local,
     kron,
     pauli_word_matrix,
@@ -21,6 +22,7 @@ from localrange.circuits import (
     GateProgram,
     GateSpec,
     LocalUnitaryParams,
+    _draw_layers,
     _qubit_blocks,
     _rotation_matrices,
     apply_stack,
@@ -237,6 +239,90 @@ def test_stack_draw_names_the_sample_of_a_bad_factor(monkeypatch, bad):
     rngs = [np.random.default_rng(k) for k in range(4)]
     with pytest.raises(ValueError, match="factor of sample 2, segment 3, qubit 1 is not unitary"):
         sample_circuit(CircuitEnsemble("hardware_efficient", 3, layers=5), rngs)
+
+
+def assert_draws_match_per_layer(rng, oracle, n, layers):
+    """_draw_layers on rng gives the oracle's per-layer axes and angles, bit for bit,
+    and leaves rng in the oracle's end state, its cached half-word included."""
+    got = np.empty((layers, n), dtype=int), np.empty((layers, n))
+    want = np.empty((layers, n), dtype=int), np.empty((layers, n))
+    _draw_layers(rng, *got)
+    draw_layers_per_layer(oracle, *want)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    state, want_state = rng.bit_generator.state, oracle.bit_generator.state
+    inner, want_inner = state.pop("state"), want_state.pop("state")  # MT19937 keeps an array
+    assert state == want_state
+    assert inner.keys() == want_inner.keys()
+    assert all(np.array_equal(inner[key], want_inner[key]) for key in inner)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_bulk_draw_matches_per_layer_draws(monkeypatch, n, cached):
+    # one random_raw read decodes to numpy's own per-layer draws; a generator
+    # holding a high half-word (after an odd-length integers call) starts with it
+    from localrange import circuits
+
+    def generators(seed):
+        rng = np.random.default_rng(seed)
+        if cached:
+            rng.integers(0, 3, size=3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    for layers in (0, 1, 10 * n):
+        seeds = [100 * n + layers + k for k in range(3)]
+        for seed in seeds:
+            assert_draws_match_per_layer(generators(seed), generators(seed), n, layers)
+        ens = CircuitEnsemble("hardware_efficient", n, layers=layers)
+        rngs, oracles = [generators(s) for s in seeds], [generators(s) for s in seeds]
+        programs = sample_circuit(ens, rngs)
+        with monkeypatch.context() as patch:
+            patch.setattr(circuits, "_draw_layers", draw_layers_per_layer)
+            wants = sample_circuit(ens, oracles)
+        for program, want, rng, oracle in zip(programs, wants, rngs, oracles):
+            assert program.factors.tobytes() == want.factors.tobytes()
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_before(word, inc, has_uint32):
+    """A PCG64 state whose next raw word is ``word``, with a zero cached half-word
+    if ``has_uint32``. PCG64 steps the state by s * multiplier + inc (mod 2^128),
+    then outputs the xor of its halves rotated right by its top 6 bits; both
+    are invertible."""
+    high = 0x9E3779B97F4A7C15  # any high half; its top 6 bits are the rotation
+    rot = high >> 58
+    low = high ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+    state = ((high << 64 | low) - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": has_uint32, "uinteger": 0}
+
+
+@pytest.mark.parametrize("word,has_uint32", [
+    (0xDEADBEEF00000000, 0),  # the first axis reads a zero low half
+    (0x00000000DEADBEEF, 0),  # the second axis reads a zero high half
+    (0xDEADBEEFDEADBEEF, 1),  # the first axis reads a zero cached half
+])
+def test_bulk_draw_of_a_zero_half_word_reads_per_layer(word, has_uint32):
+    # Lemire's method rejects a zero half-word for range 3 and draws again, which
+    # the one-read decode cannot do: the generator is restored and read per layer
+    inc = np.random.default_rng(5).bit_generator.state["state"]["inc"]
+    state = pcg64_before(word, inc, has_uint32)
+    probe = np.random.Generator(np.random.PCG64())
+    probe.bit_generator.state = state
+    assert int(probe.bit_generator.random_raw()) == word
+    rng, oracle = np.random.Generator(np.random.PCG64()), np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = oracle.bit_generator.state = state
+    assert_draws_match_per_layer(rng, oracle, 3, 4)
+
+
+def test_bulk_draw_of_another_bit_generator_reads_per_layer():
+    rng, oracle = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    assert_draws_match_per_layer(rng, oracle, 4, 7)
 
 
 def test_dense_form_refused_above_max_dim():

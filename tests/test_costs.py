@@ -5,6 +5,7 @@ from dense_reference import (
     bures_fidelity,
     fidelity_rank_bound,
     generic_cost,
+    lowest_eigenvalue_every_step,
     pauli_word_matrix,
     product_rank,
     projector_zero,
@@ -153,6 +154,37 @@ class TestObservable:
         assert costs._lowest_eigenvalue(h) == pytest.approx(-3.0 * k, rel=1e-14, abs=0.0)
         assert len(calls) == 2
         assert spectral_width(h) == pytest.approx(4.0 * k, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_lanczos_matches_the_every_step_oracle(self, monkeypatch, n, periodic):
+        # testing convergence every few steps returns theta_0 of the first step the
+        # every-step loop accepts, bit for bit, with a quarter of its eigh calls
+        h = heisenberg(n, periodic)
+        want, steps = lowest_eigenvalue_every_step(h)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert costs._lowest_eigenvalue(h) == want
+        assert len(calls) <= steps // costs.LANCZOS_CHECK_EVERY + 4
+
+    @pytest.mark.parametrize("n,periodic", [(8, True), (6, True), (5, False)])  # 33, 13, 10 steps
+    def test_lanczos_tests_the_cap_step(self, monkeypatch, n, periodic):
+        # a chain that converges exactly at the step cap still returns, one step
+        # fewer raises
+        h = heisenberg(n, periodic)
+        want, steps = lowest_eigenvalue_every_step(h)
+        assert steps % costs.LANCZOS_CHECK_EVERY, "the cap must not be a regular check step"
+        monkeypatch.setattr(costs, "LANCZOS_MAX_STEPS", steps)
+        assert costs._lowest_eigenvalue(h) == want
+        monkeypatch.setattr(costs, "LANCZOS_MAX_STEPS", steps - 1)
+        with pytest.raises(costs.ConvergenceError):
+            costs._lowest_eigenvalue(h)
 
     def test_projector_widths_are_exactly_one(self):
         e0 = np.zeros(2**6)

@@ -140,15 +140,24 @@ def test_sample_streams_are_the_spawned_children(task, optimizer):
     # each draw of sample k in a stack reads child i of sample k's SeedSequence, as
     # spawn(4)[i] gives it; streams a sample does not use (fixed rho, no polar solve
     # at m = 1) are not built
+    assert_streams_are_the_spawned_children(task, optimizer, 17)
+
+
+def test_streams_of_a_two_word_seed_are_the_spawned_children():
+    # qae at m = 2 reads all four streams
+    assert_streams_are_the_spawned_children("qae", "polar", 2**32 + 17)
+
+
+def assert_streams_are_the_spawned_children(task, optimizer, seed):
     m = 1 if optimizer == "exact" else 2
-    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, m=m, layers=3, samples=3, seed=17,
+    cfg = ExperimentConfig(task=task, n_min=4, n_max=4, m=m, layers=3, samples=3, seed=seed,
                            optimizer=optimizer)
     inst = harness.setup_task(task, 4, m)
     ens = harness._side_ensemble(cfg, 4, 3)
     v1s, v2s, rhos, rngs_opt = harness._stack_draws(cfg, inst, 4, range(3), 3)
     assert len(v1s) == len(v2s) == len(rhos) == 3
     for k in range(3):
-        entropy = (17, harness.TASK_IDS[task], 4, k, 3, harness.ENSEMBLE_CONFIGS["both"])
+        entropy = (seed, harness.TASK_IDS[task], 4, k, 3, harness.ENSEMBLE_CONFIGS["both"])
         children = np.random.SeedSequence(entropy).spawn(4)
         for i, child in enumerate(children):
             built = np.random.SeedSequence(entropy, spawn_key=(i,))
@@ -166,6 +175,26 @@ def test_sample_streams_are_the_spawned_children(task, optimizer):
             assert rngs_opt[k].bit_generator.state == rngs[3].bit_generator.state
     if optimizer == "exact":
         assert rngs_opt is None
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**32 - 1, 2**32, 2**32 + 17, 2**64 + 3, 2**100 + 2**40])
+def test_stream_entropy_is_split_as_numpy_splits_it(seed):
+    # the uint32 words seed the same streams as the tuple of ints numpy splits itself
+    entropy = (seed, 1, 9, 3, 90, 2)
+    words = harness._entropy_words(entropy)
+    assert words.dtype == np.uint32
+    for i in range(4):
+        want = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        got = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words, spawn_key=(i,))))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_negative_seed_fails_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer") as numpy_err:
+        np.random.SeedSequence((-1, 0, 3, 0, 6, 2))
+    with pytest.raises(ValueError, match="expected non-negative integer") as err:
+        run_scaling(small_cfg(seed=-1))
+    assert type(err.value) is type(numpy_err.value)
 
 
 @pytest.mark.parametrize("cfg", [
