@@ -15,10 +15,8 @@ from .circuits import (
 )
 from .harness import ExperimentConfig, ExperimentRow, fit_slope, run_layer_sweep, run_scaling
 from .landscape import (
-    BoundReport,
     TransferTensor,
     VariationResult,
-    bound_report,
     transfer_tensor,
     variation_range_exact_m1,
     variation_range_grid,
@@ -28,7 +26,6 @@ from .linalg import BipartitePartition
 
 __all__ = [
     "BipartitePartition",
-    "BoundReport",
     "CircuitEnsemble",
     "ExperimentConfig",
     "ExperimentRow",
@@ -37,7 +34,6 @@ __all__ = [
     "LocalUnitaryParams",
     "TransferTensor",
     "VariationResult",
-    "bound_report",
     "fit_slope",
     "run_layer_sweep",
     "run_scaling",

@@ -21,12 +21,18 @@ from .haar import (
     second_moment_reduced_norm,
 )
 from .landscape import (
-    bound_report,
+    MARKOV_EPS,
+    coupling_ranks,
+    markov_tail,
+    qsl_bound,
     task_tight_bound,
+    theorem1_bound,
+    tight_bound_formula,
     transfer_tensor,
     variation_range_exact_m1,
     variation_range_grid,
     variation_range_polar,
+    variance_bound,
 )
 from .linalg import BipartitePartition, random_density, random_hermitian
 
@@ -149,20 +155,21 @@ def _cmd_validate_haar(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    ExperimentConfig(task=args.task, n_min=args.n, n_max=args.n, m=args.m)  # checks n and m
-    inst = harness.setup_task(args.task, args.n, args.m)
-    rep = bound_report(args.task, args.n, args.m, inst.w)
-    print(f"task = {args.task}, n = {args.n}, m = {args.m}, w = {inst.w:.12g}")
-    print(f"bound_general = {rep.general:.12g}")
-    print(f"bound_variance = {rep.variance:.12g}")
-    print(f"bound_tight = {task_tight_bound(args.task, args.n, inst.w, args.m):.12g}")
-    print(f"bound_tight_formula = {rep.tight_formula:.12g}")
-    if rep.qsl is not None:
-        print(f"bound_qsl = {rep.qsl:.12g}")
-    print(f"N_A = {rep.n_a}")
-    print(f"N_AB = {rep.n_ab}")
-    for eps, tail in sorted(rep.markov.items(), reverse=True):
-        print(f"markov_tail(eps={eps:g}) = {tail:.12g}")
+    task, n, m = args.task, args.n, args.m
+    ExperimentConfig(task=task, n_min=n, n_max=n, m=m)  # checks n and m
+    w = harness.setup_task(task, n, m).w
+    n_a, n_ab = coupling_ranks(task, m)
+    print(f"task = {task}, n = {n}, m = {m}, w = {w:.12g}")
+    print(f"bound_general = {theorem1_bound(w, n, m):.12g}")
+    print(f"bound_variance = {variance_bound(w, n, m):.12g}")
+    print(f"bound_tight = {task_tight_bound(task, n, w, m):.12g}")
+    print(f"bound_tight_formula = {tight_bound_formula(task, n, w, m):.12g}")
+    if task == "qsl":
+        print(f"bound_qsl = {qsl_bound(n, m):.12g}")
+    print(f"N_A = {n_a}")
+    print(f"N_AB = {n_ab}")
+    for eps in sorted(MARKOV_EPS, reverse=True):
+        print(f"markov_tail(eps={eps:g}) = {markov_tail(w, n, m, eps):.12g}")
     return 0
 
 

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"layers_multiplier: must be nonnegative, got {self.layers_multiplier}")
         if self.samples < 2:
             raise ConfigError(f"samples: need at least 2, got {self.samples!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         if self.optimizer not in (None, SOLVERS[self.m]):
             raise ConfigError(f"optimizer: m={self.m} is solved by {SOLVERS[self.m]!r}, got {self.optimizer!r}")
 
@@ -160,11 +162,10 @@ def _side_ensemble(cfg: ExperimentConfig, n: int, layers: int) -> CircuitEnsembl
 def _entropy_words(values) -> np.ndarray:
     """Nonnegative ints as the uint32 entropy SeedSequence makes of them: each split
     into little-endian 32-bit words (0 is one word), in order. A ready uint32 array
-    skips numpy's own splitting, which costs more than the generator it seeds."""
+    skips numpy's own splitting, which costs more than the generator it seeds. Unchecked:
+    callers pass a seed `ExperimentConfig` has checked and nonnegative counts and ids."""
     words = []
     for x in values:
-        if x < 0:
-            raise ValueError(f"expected non-negative integer, got {x}")
         words.append(x & 0xFFFFFFFF)
         while x := x >> 32:
             words.append(x & 0xFFFFFFFF)

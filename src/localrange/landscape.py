@@ -16,7 +16,7 @@ one qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -497,31 +497,6 @@ def task_tight_bound(task: str, n: int, w: float, m: int = 1) -> float:
     return tight_bound_formula(task, n, w, m)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    general: float
-    variance: float
-    tight_formula: float
-    qsl: float | None
-    n_a: int
-    n_ab: int
-    markov: dict[float, float] = field(default_factory=dict)
-
-
-def bound_report(task: str, n: int, m: int, w: float) -> BoundReport:
-    """Every bound for the task on n qubits with the gate on the first m, in closed form."""
-    n_a, n_ab = coupling_ranks(task, m)
-    return BoundReport(
-        general=theorem1_bound(w, n, m),
-        variance=variance_bound(w, n, m),
-        tight_formula=tight_bound_formula(task, n, w, m),
-        qsl=qsl_bound(n, m) if task == "qsl" else None,
-        n_a=n_a,
-        n_ab=n_ab,
-        markov={eps: markov_tail(w, n, m, eps) for eps in MARKOV_EPS},
-    )
-
-
 # ---------------------------------------------------------------------------
 # parameterized circuits, shift rule, telescoping
 
@@ -529,16 +504,12 @@ def bound_report(task: str, n: int, m: int, w: float) -> BoundReport:
 class ParameterizedCircuit:
     """Ordered gate list with free rotation angles filled in at call time.
 
-    convention 'half' uses R_P(theta) = exp(-i theta P / 2); 'unit' uses
-    exp(-i theta P), for which the quarter-shift rule is exact.
+    Rotations are R_P(theta) = exp(-i theta P / 2), as everywhere in the package.
     """
 
-    def __init__(self, n: int, gates: list[GateSpec], convention: str = "half"):
-        if convention not in ("half", "unit"):
-            raise ValueError(f"unknown rotation convention {convention!r}")
+    def __init__(self, n: int, gates: list[GateSpec]):
         self.n = n
         self.gates = list(gates)
-        self.convention = convention
         self.free = [i for i, g in enumerate(self.gates) if g.kind != "cz" and g.angle is None]
 
     @property
@@ -549,10 +520,9 @@ class ParameterizedCircuit:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (len(self.free),):
             raise ValueError(f"expected {len(self.free)} parameters, got shape {theta.shape}")
-        scale = 1.0 if self.convention == "half" else 2.0
         bound = list(self.gates)
         for val, idx in zip(theta, self.free):
-            bound[idx] = replace(bound[idx], angle=scale * float(val))
+            bound[idx] = replace(bound[idx], angle=float(val))
         return bound
 
     def cost(self, h, rho, theta) -> float:
@@ -561,26 +531,13 @@ class ParameterizedCircuit:
 
 
 def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> float:
-    """Exact derivative of the cost in parameter mu via shifted evaluations.
-
-    Half-angle convention: [C(+pi/2 shift) - C(-pi/2 shift)] / 2; unit
-    convention: C(+pi/4 shift) - C(-pi/4 shift), no division.
-    """
+    """Exact derivative of the cost in parameter mu: [C(+pi/2 shift) - C(-pi/2 shift)] / 2."""
     theta = np.asarray(theta, dtype=float)
     if not 0 <= mu < pc.num_parameters:
         raise ValueError(f"parameter index {mu} out of range")
-    shift = np.pi / 2 if pc.convention == "half" else np.pi / 4
     e = np.zeros_like(theta)
-    e[mu] = shift
-    diff = pc.cost(h, rho, theta + e) - pc.cost(h, rho, theta - e)
-    return diff / 2 if pc.convention == "half" else diff
-
-
-def _split_at_gate(pc: ParameterizedCircuit, bound: list[GateSpec], gate_idx: int):
-    """(V1, target qubit, V2): the programs before and after gate gate_idx."""
-    v1 = GateProgram.from_gates(pc.n, bound[:gate_idx])
-    v2 = GateProgram.from_gates(pc.n, bound[gate_idx + 1:])
-    return v1, bound[gate_idx].target, v2
+    e[mu] = np.pi / 2
+    return (pc.cost(h, rho, theta + e) - pc.cost(h, rho, theta - e)) / 2
 
 
 def delta_mu(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> VariationResult:
@@ -588,8 +545,10 @@ def delta_mu(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> VariationResul
     if not 0 <= mu < pc.num_parameters:
         raise ValueError(f"parameter index {mu} out of range")
     bound = pc.bind(theta)
-    v1, target, v2 = _split_at_gate(pc, bound, pc.free[mu])
-    part = BipartitePartition(pc.n, (target,))
+    idx = pc.free[mu]
+    v1 = GateProgram.from_gates(pc.n, bound[:idx])
+    v2 = GateProgram.from_gates(pc.n, bound[idx + 1:])
+    part = BipartitePartition(pc.n, (bound[idx].target,))
     return variation_range_exact_m1(transfer_tensor(h, rho, v1, v2, part))
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,18 @@ def test_bounds_m2_closed_form_matches_dense(capsys):
             header, row = csv.splitlines()
             column = float(row.split(",")[header.split(",").index("bound_tight")])
             assert values["bound_tight"] == f"{column:.12g}"
+
+
+def test_bounds_text_matches_the_pinned_text(capsys):
+    # every line `bounds` prints, for each task and m at n = 3, 4, 8, 12 and 16
+    text = ""
+    for task in ("vqe", "qae", "qsl"):
+        for m in ("1", "2"):
+            for n in ("3", "4", "8", "12", "16"):
+                code, out, _ = run_cli(capsys, "bounds", "--task", task, "--n", n, "--m", m)
+                assert code == 0
+                text += out
+    assert text.encode() == (Path(__file__).parent / "pinned_bounds.txt").read_bytes()
 
 
 @pytest.mark.parametrize("m", [0, 3])

@@ -34,7 +34,6 @@ from localrange.haar import haar_random_unitary
 from localrange.landscape import (
     BoundViolation,
     ParameterizedCircuit,
-    bound_report,
     coupling_ranks,
     delta_mu,
     expectation,
@@ -652,16 +651,14 @@ class TestCouplingRank:
 
 @pytest.mark.parametrize("task", ["vqe", "qae", "qsl"])
 def test_bound_report_tight_formula_is_not_the_row_bound(task):
-    # the report's tight_formula is the formula, while a row's bound_tight is
-    # task_tight_bound; they differ for m = 1 vqe and qae (vqe n = 7: 12.11 against 39.08)
+    # `localrange bounds` reports both: a row's bound_tight is task_tight_bound, not the
+    # formula; they differ for m = 1 vqe and qae (vqe n = 7: 12.11 against 39.08)
     n = 7
     inst = harness.setup_task(task, n, 1)
-    rep = bound_report(task, n, 1, inst.w)
-    assert rep.tight_formula == tight_bound_formula(task, n, inst.w, 1)
     cfg = harness.ExperimentConfig(task=task, n_min=n, n_max=n, design_kind="one_design", samples=2)
     row = harness.run_scaling(cfg)[0]
     assert row.bound_tight == task_tight_bound(task, n, inst.w, 1)
-    assert (row.bound_tight == rep.tight_formula) == (task == "qsl")
+    assert (row.bound_tight == tight_bound_formula(task, n, inst.w, 1)) == (task == "qsl")
 
 
 def _ry_z_circuit():
@@ -682,15 +679,6 @@ class TestParameterShift:
         pc, h, rho = _ry_z_circuit()
         d = parameter_shift_derivative(pc, h, rho, [np.pi / 2], 0)
         assert d == pytest.approx(-1.0, abs=1e-12)
-
-    def test_unit_convention_quarter_shift(self):
-        pc = ParameterizedCircuit(2, [GateSpec("ry", 0)], convention="unit")
-        h = pauli_word_matrix("ZI")
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        # C(theta) = cos(2 theta) under exp(-i theta Y)
-        d = parameter_shift_derivative(pc, h, rho, [0.7], 0)
-        assert d == pytest.approx(-2 * np.sin(1.4), abs=1e-12)
 
     def test_index_out_of_range(self):
         pc, h, rho = _ry_z_circuit()

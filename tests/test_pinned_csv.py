@@ -1,9 +1,9 @@
 """The seed contract, pinned: small `localrange scaling` runs write exactly the
 CSV bytes checked in under ``pinned_csv/``.
 
-The files were written before circuit draws were read in one raw read per
-sample, so any change to the random streams, to how they are read or to the
-arithmetic behind a row shows here. They were made with numpy 2.4.6 and
+All files but ``qsl_both_one_design.csv`` were written before circuit draws
+were read in one raw read per sample, so any change to the random streams, to
+how they are read or to the arithmetic behind a row shows here. They were made with numpy 2.4.6 and
 OpenBLAS on x86-64; another BLAS or LAPACK may round differently.
 """
 
@@ -20,6 +20,10 @@ CONFIGS = {
     "vqe_both": dict(task="vqe", n_min=3, n_max=5, layers=4, samples=3, seed=11),
     "qsl_v1_design": dict(task="qsl", n_min=3, n_max=4, ensemble_config="v1_design",
                           layers_multiplier=2, samples=3, seed=12),
+    # qsl with V2 drawn sends chi = V2+ phi through the adjoint programs; at n = 11
+    # the 3 samples run as stacks of 2 and 1
+    "qsl_both_one_design": dict(task="qsl", n_min=3, n_max=11, design_kind="one_design",
+                                samples=3, seed=17),
     # qae draws its input state per sample
     "qae_v2_design": dict(task="qae", n_min=3, n_max=4, ensemble_config="v2_design", layers=3,
                           samples=3, seed=13),
