@@ -13,7 +13,6 @@ from . import harness
 from .costs import ConvergenceError
 from .harness import BoundViolation, ConfigError, ExperimentConfig
 from .haar import (
-    MomentQuery,
     average_reduced_purity,
     mc_reduced_purity,
     mc_second_moment,
@@ -124,32 +123,35 @@ def _check(label: str, ok: bool, detail: str = "") -> bool:
 
 
 def _cmd_validate_haar(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {args.seed}")
+    if args.samples < 100:
+        raise ConfigError(f"samples: need at least 100, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     all_ok = True
     for n, m in ((3, 1), (4, 1), (4, 2)):
         part = BipartitePartition(n, tuple(range(m)))
         p = random_density(part.d, rng)
         q = random_hermitian(part.d, rng)
-        mq = MomentQuery(p, q, part)
-        closed = second_moment_reduced_norm(mq)
-        contracted = second_moment_contracted(mq)
+        closed = second_moment_reduced_norm(p, q, part)
+        contracted = second_moment_contracted(p, q, part)
         all_ok &= _check(
             f"two evaluation paths agree (n={n}, m={m})",
             abs(closed - contracted) <= 1e-12 * max(1.0, abs(closed)),
             f"closed={closed:.12e} contracted={contracted:.12e}",
         )
-        est = mc_second_moment(mq, samples=args.samples, seed=args.seed + n * 10 + m)
+        mean, stderr = mc_second_moment(p, q, part, args.samples, seed=args.seed + n * 10 + m)
         all_ok &= _check(
             f"Monte Carlo within 3 stderr (n={n}, m={m})",
-            abs(est.mean - closed) <= 3 * est.stderr + 1e-12,
-            f"closed={closed:.6e} mc={est.mean:.6e} stderr={est.stderr:.2e}",
+            abs(mean - closed) <= 3 * stderr + 1e-12,
+            f"closed={closed:.6e} mc={mean:.6e} stderr={stderr:.2e}",
         )
         purity = average_reduced_purity(p, part)
-        pest = mc_reduced_purity(p, part, samples=args.samples, seed=args.seed + 7 * n + m)
+        mean, stderr = mc_reduced_purity(p, part, args.samples, seed=args.seed + 7 * n + m)
         all_ok &= _check(
             f"average reduced purity within 3 stderr (n={n}, m={m})",
-            abs(pest.mean - purity) <= 3 * pest.stderr + 1e-12,
-            f"closed={purity:.6e} mc={pest.mean:.6e}",
+            abs(mean - purity) <= 3 * stderr + 1e-12,
+            f"closed={purity:.6e} mc={mean:.6e}",
         )
     return 0 if all_ok else 1
 
@@ -174,14 +176,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     ok = True
 
     part = BipartitePartition(3, (0,))
     p = random_density(part.d, rng)
     q = random_hermitian(part.d, rng)
-    mq = MomentQuery(p, q, part)
-    closed, contracted = second_moment_reduced_norm(mq), second_moment_contracted(mq)
+    closed, contracted = second_moment_reduced_norm(p, q, part), second_moment_contracted(p, q, part)
     ok &= _check("moment identity, independent paths", abs(closed - contracted) <= 1e-12)
 
     for trial in range(3):
@@ -235,7 +238,7 @@ def cli_main(argv=None) -> int:
                      description="Variation range of variational costs under one local gate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scaling = sub.add_parser("scaling", parents=[], help="qubit-count scaling run")
+    p_scaling = sub.add_parser("scaling", help="qubit-count scaling run")
     _add_config_flags(p_scaling)
     p_scaling.set_defaults(func=_cmd_scaling)
 

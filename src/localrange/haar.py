@@ -11,7 +11,6 @@ and a seeded Monte-Carlo estimator to check everything against samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,36 +25,6 @@ from .linalg import (
 
 # Haar unitaries drawn per Monte-Carlo batch
 MC_BATCH = 512
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """Operators P, Q and the A/B split entering the second-moment identity."""
-
-    p: np.ndarray
-    q: np.ndarray
-    part: BipartitePartition
-
-    def __post_init__(self):
-        p, q = as_matrix(self.p), as_matrix(self.q)
-        if p.shape[0] != self.part.d or q.shape[0] != self.part.d:
-            raise DimensionError(
-                f"P/Q dims {p.shape[0]}, {q.shape[0]} do not match d={self.part.d}"
-            )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("need at least two samples for a standard error")
 
 
 def haar_random_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -74,9 +43,17 @@ def haar_random_unitary(d: int, rng: np.random.Generator, size: int | None = Non
     return q * phases[..., None, :]
 
 
-def second_moment_reduced_norm(mq: MomentQuery) -> float:
+def _operators(p, q, part: BipartitePartition) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q as matrices, checked against the partition's dimension."""
+    p, q = as_matrix(p), as_matrix(q)
+    if p.shape[0] != part.d or q.shape[0] != part.d:
+        raise DimensionError(f"P/Q dims {p.shape[0]}, {q.shape[0]} do not match d={part.d}")
+    return p, q
+
+
+def second_moment_reduced_norm(p, q, part: BipartitePartition) -> float:
     """Closed form for E_V[||tr_B(Q V P V+)||_2^2] over Haar V."""
-    p, q, part = mq.p, mq.q, mq.part
+    p, q = _operators(p, q, part)
     d, d_a = part.d, part.d_A
     tr_p = complex(np.trace(p))
     p22 = float(np.linalg.norm(p)) ** 2
@@ -88,14 +65,14 @@ def second_moment_reduced_norm(mq: MomentQuery) -> float:
     return float(val)
 
 
-def second_moment_contracted(mq: MomentQuery) -> float:
+def second_moment_contracted(p, q, part: BipartitePartition) -> float:
     """Same moment via the element-wise two-term twirl formula; d <= 16 only.
 
     E[(VxV)(P x P+)(VxV)+] is evaluated explicitly with the swap operator and
     the result contracted against Q; this is an independent evaluation path of
     the closed form above.
     """
-    p, q, part = mq.p, mq.q, mq.part
+    p, q = _operators(p, q, part)
     d, d_a, d_b = part.d, part.d_A, part.d_B
     if d > 16:
         raise DimensionError("direct contraction path is limited to d <= 16")
@@ -127,15 +104,15 @@ def average_reduced_purity(p, part: BipartitePartition) -> float:
     return ((d_a**2 - 1) * d_b * purity + (d_b**2 - 1) * d_a) / (d**2 - 1)
 
 
-def mc_second_moment(mq: MomentQuery, samples: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of E_V[||tr_B(Q V P V+)||_2^2] over Haar samples."""
+def mc_second_moment(p, q, part: BipartitePartition, samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo (mean, stderr) of E_V[||tr_B(Q V P V+)||_2^2] over Haar samples."""
+    p, q = _operators(p, q, part)
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    part = mq.part
     d, d_a, d_b = part.d, part.d_A, part.d_B
     # sampling in the A-leading frame; Haar measure is permutation invariant
-    p = to_a_first(mq.p, part, operator=True)
-    q = to_a_first(mq.q, part, operator=True)
+    p = to_a_first(p, part, operator=True)
+    q = to_a_first(q, part, operator=True)
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     done = 0
@@ -149,10 +126,9 @@ def mc_second_moment(mq: MomentQuery, samples: int, seed: int) -> McEstimate:
         done += k
     mean = float(math.fsum(vals) / samples)
     var = float(math.fsum((vals - mean) ** 2) / (samples - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples, seed=seed)
+    return mean, math.sqrt(var / samples)
 
 
-def mc_reduced_purity(rho, part: BipartitePartition, samples: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of E_V[tr(rho_A^2)], the Q = I special case."""
-    mq = MomentQuery(as_matrix(rho), np.eye(part.d, dtype=complex), part)
-    return mc_second_moment(mq, samples, seed)
+def mc_reduced_purity(rho, part: BipartitePartition, samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo (mean, stderr) of E_V[tr(rho_A^2)], the Q = I special case."""
+    return mc_second_moment(rho, np.eye(part.d, dtype=complex), part, samples, seed)

@@ -276,7 +276,7 @@ def fit_slope(rows) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
     return float(slope), float(intercept), r2
 
 

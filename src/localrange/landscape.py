@@ -225,7 +225,8 @@ class VariationResult:
     """Extrema of the cost over the local gate and where they are attained.
 
     ``degenerate`` (exact solver): the top or bottom eigenvalue of S is within
-    DEGENERACY_RTOL * delta of its neighbour, so the argmax or argmin is not unique.
+    DEGENERACY_RTOL * max(delta, max |eigenvalue of S|) of its neighbour, so the
+    argmax or argmin is not unique to within the rounding of S.
     """
 
     max_value: float
@@ -285,7 +286,8 @@ def variation_range_exact_m1(t: TransferTensor) -> VariationResult:
         method="exact",
         iterations=0,
         converged=True,
-        degenerate=min(w1 - lo, hi - w2) <= DEGENERACY_RTOL * delta,
+        # on the scale of S, not of delta: the rounding of S is about eps * max |eigenvalue|
+        degenerate=min(w1 - lo, hi - w2) <= DEGENERACY_RTOL * max(delta, abs(c0 + lo), abs(c0 + hi)),
     )
 
 

@@ -14,7 +14,6 @@ import pytest
 from dense_reference import AdamConfig, bures_fidelity, fidelity_rank_bound, variation_range_adam
 from localrange.circuits import GateSpec
 from localrange.haar import (
-    MomentQuery,
     average_reduced_purity,
     mc_reduced_purity,
     mc_second_moment,
@@ -49,6 +48,7 @@ def report(label, ok, detail=""):
 # -- criterion 1: Haar-moment identities ------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_haar_identity_suite():
     start = time.time()
     rng = np.random.default_rng(101)
@@ -59,10 +59,9 @@ def test_criterion_1_haar_identity_suite():
         for _ in range(20):
             p = random_density(part.d, rng)
             q = random_hermitian(part.d, rng)
-            mq = MomentQuery(p, q, part)
-            closed = second_moment_reduced_norm(mq)
-            est = mc_second_moment(mq, samples=5000, seed=int(rng.integers(2**31)))
-            pull = abs(est.mean - closed) / est.stderr
+            closed = second_moment_reduced_norm(p, q, part)
+            mean, stderr = mc_second_moment(p, q, part, samples=5000, seed=int(rng.integers(2**31)))
+            pull = abs(mean - closed) / stderr
             worst = max(worst, pull)
             assert pull <= 3.0, f"moment mismatch at d_A={d_a}, d_B={d_b}: {pull:.2f} stderr"
     part22 = BipartitePartition(2, (0,))
@@ -70,8 +69,8 @@ def test_criterion_1_haar_identity_suite():
     rho = np.outer(psi, psi.conj())
     closed_purity = average_reduced_purity(rho, part22)
     assert closed_purity == pytest.approx(0.8, abs=1e-12)
-    est = mc_reduced_purity(rho, part22, samples=5000, seed=7)
-    purity_pull = abs(est.mean - closed_purity) / est.stderr
+    mean, stderr = mc_reduced_purity(rho, part22, samples=5000, seed=7)
+    purity_pull = abs(mean - closed_purity) / stderr
     elapsed = time.time() - start
     report(
         "criterion 1: Haar second-moment identities (60 pairs, 5000 samples) + purity 0.8",
@@ -83,6 +82,7 @@ def test_criterion_1_haar_identity_suite():
 # -- criterion 2: optimizer triangle ----------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_2_optimizer_triangle():
     start = time.time()
     rng = np.random.default_rng(202)

@@ -658,6 +658,7 @@ def test_one_design_layer_first_moment():
     assert np.max(np.abs(acc - np.eye(4) / 4)) < 0.02
 
 
+@pytest.mark.slow
 def test_hardware_efficient_frame_potential():
     # second frame potential E|tr(U+W)|^4 approaches the 2-design value 2
     rng = np.random.default_rng(13)

@@ -101,6 +101,18 @@ def test_bounds_rejects_n_above_cap(capsys, n):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("validate-haar", "--seed", "-1"), "seed: must be nonnegative, got -1"),
+    (("selftest", "--seed", "-1"), "seed: must be nonnegative, got -1"),
+    (("validate-haar", "--samples", "0"), "samples: need at least 100, got 0"),
+])
+def test_moment_commands_reject_bad_arguments_before_any_work(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"localrange: error: {flag}\n"
+
+
 def test_missing_task_exits_one(capsys):
     code, _, err = run_cli(capsys, "scaling", "--n", "2")
     assert code == 1

@@ -3,8 +3,6 @@ import pytest
 
 from dense_reference import first_moment_twirl
 from localrange.haar import (
-    McEstimate,
-    MomentQuery,
     average_reduced_purity,
     haar_random_unitary,
     mc_reduced_purity,
@@ -53,20 +51,23 @@ class TestHaarSampling:
             haar_random_unitary(0, np.random.default_rng(0))
 
 
-class TestMomentQuery:
+class TestMomentOperators:
     def test_dim_mismatch(self):
         part = BipartitePartition(3, (0,))
+        for moment in (second_moment_reduced_norm, second_moment_contracted):
+            with pytest.raises(DimensionError):
+                moment(np.eye(4), np.eye(8), part)
         with pytest.raises(DimensionError):
-            MomentQuery(np.eye(4), np.eye(8), part)
+            mc_second_moment(np.eye(8), np.eye(4), part, samples=100, seed=0)
 
 
 @pytest.mark.parametrize("n,a_sites", [(2, (0,)), (3, (0,)), (4, (0, 1)), (4, (1, 3))])
 def test_two_closed_form_paths_agree(n, a_sites):
     rng = np.random.default_rng(10 + n)
     part = BipartitePartition(n, a_sites)
-    mq = MomentQuery(random_density(part.d, rng), random_hermitian(part.d, rng), part)
-    closed = second_moment_reduced_norm(mq)
-    contracted = second_moment_contracted(mq)
+    p, q = random_density(part.d, rng), random_hermitian(part.d, rng)
+    closed = second_moment_reduced_norm(p, q, part)
+    contracted = second_moment_contracted(p, q, part)
     assert closed == pytest.approx(contracted, abs=1e-12 * max(1.0, abs(closed)))
 
 
@@ -77,18 +78,17 @@ def test_second_moment_identity_p():
     q = random_hermitian(8, rng)
     from localrange.linalg import partial_trace
 
-    mq = MomentQuery(np.eye(8), q, part)
     expected = float(np.linalg.norm(partial_trace(q, part, "B"))) ** 2
-    assert second_moment_reduced_norm(mq) == pytest.approx(expected, rel=1e-12)
+    assert second_moment_reduced_norm(np.eye(8), q, part) == pytest.approx(expected, rel=1e-12)
 
 
 def test_second_moment_vs_mc():
     rng = np.random.default_rng(6)
     part = BipartitePartition(3, (0,))
-    mq = MomentQuery(random_density(8, rng), random_hermitian(8, rng), part)
-    closed = second_moment_reduced_norm(mq)
-    est = mc_second_moment(mq, samples=4000, seed=17)
-    assert abs(est.mean - closed) <= 3 * est.stderr
+    p, q = random_density(8, rng), random_hermitian(8, rng)
+    closed = second_moment_reduced_norm(p, q, part)
+    mean, stderr = mc_second_moment(p, q, part, samples=4000, seed=17)
+    assert abs(mean - closed) <= 3 * stderr
 
 
 def test_second_moment_identity_tensor_z():
@@ -97,8 +97,7 @@ def test_second_moment_identity_tensor_z():
     part = BipartitePartition(2, (0,))
     psi = random_pure_state(4, rng)
     q = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
-    mq = MomentQuery(np.outer(psi, psi.conj()), q, part)
-    assert second_moment_reduced_norm(mq) == pytest.approx(0.4, abs=1e-12)
+    assert second_moment_reduced_norm(np.outer(psi, psi.conj()), q, part) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_second_moment_traceless_product_form():
@@ -111,7 +110,6 @@ def test_second_moment_traceless_product_form():
     p -= np.trace(p) / d * np.eye(d)
     o_a = random_hermitian(2, rng)
     o_b = random_hermitian(4, rng)
-    mq = MomentQuery(p, np.kron(o_a, o_b), part)
     norm2 = lambda m: np.sum(np.abs(m) ** 2)
     expected = (
         norm2(o_a)
@@ -119,15 +117,13 @@ def test_second_moment_traceless_product_form():
         * (part.d_A * norm2(o_b) - abs(np.trace(o_b)) ** 2 / d)
         / (d**2 - 1)
     )
-    assert second_moment_reduced_norm(mq) == pytest.approx(expected, abs=1e-12)
+    assert second_moment_reduced_norm(p, np.kron(o_a, o_b), part) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mc_zero_observable():
     part = BipartitePartition(2, (0,))
     rho = np.diag([1.0, 0, 0, 0]).astype(complex)
-    est = mc_second_moment(MomentQuery(rho, np.zeros((4, 4)), part), samples=200, seed=3)
-    assert est.mean == 0.0
-    assert est.stderr == 0.0
+    assert mc_second_moment(rho, np.zeros((4, 4)), part, samples=200, seed=3) == (0.0, 0.0)
 
 
 def test_haar_entry_second_moment():
@@ -164,8 +160,8 @@ class TestReducedPurity:
         rho = random_density(8, rng)
         part = BipartitePartition(3, (0,))
         closed = average_reduced_purity(rho, part)
-        est = mc_reduced_purity(rho, part, samples=2000, seed=23)
-        assert abs(est.mean - closed) <= 3 * est.stderr
+        mean, stderr = mc_reduced_purity(rho, part, samples=2000, seed=23)
+        assert abs(mean - closed) <= 3 * stderr
 
     def test_rejects_non_density(self):
         part = BipartitePartition(2, (0,))
@@ -174,18 +170,15 @@ class TestReducedPurity:
 
 
 def test_mc_estimate_validation():
-    with pytest.raises(ValueError):
-        McEstimate(mean=0.0, stderr=0.0, samples=1, seed=0)
     part = BipartitePartition(2, (0,))
-    mq = MomentQuery(np.eye(4) / 4, np.eye(4), part)
     with pytest.raises(ValueError):
-        mc_second_moment(mq, samples=10, seed=0)
+        mc_second_moment(np.eye(4) / 4, np.eye(4), part, samples=10, seed=0)
 
 
 def test_mc_deterministic_in_seed():
     rng = np.random.default_rng(9)
     part = BipartitePartition(2, (0,))
-    mq = MomentQuery(random_density(4, rng), random_hermitian(4, rng), part)
-    a = mc_second_moment(mq, samples=200, seed=4)
-    b = mc_second_moment(mq, samples=200, seed=4)
+    p, q = random_density(4, rng), random_hermitian(4, rng)
+    a = mc_second_moment(p, q, part, samples=200, seed=4)
+    b = mc_second_moment(p, q, part, samples=200, seed=4)
     assert a == b

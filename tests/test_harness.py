@@ -195,6 +195,22 @@ def test_negative_seed_fails_as_numpy_does():
         small_cfg(seed=-1)
 
 
+def test_product_layer_qsl_solves_are_degenerate(monkeypatch):
+    # both sides are product layers, so C depends on U only through |<chi0|U|psi0>|^2 and
+    # the top and bottom pairs of S are exactly degenerate, even where delta << ||S||
+    solve, solved = harness.variation_range_exact_m1, []
+
+    def keep(t):
+        solved.append(solve(t))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "variation_range_exact_m1", keep)
+    run_scaling(ExperimentConfig(task="qsl", n_min=8, n_max=8, design_kind="one_design",
+                                 samples=16, seed=0))
+    assert len(solved) == 16
+    assert [k for k, res in enumerate(solved) if not res.degenerate] == []
+
+
 @pytest.mark.parametrize("cfg", [
     # stacks of at most 8, 4 and 2 samples at n = 9, 10 and 11
     ExperimentConfig(task="vqe", n_min=9, n_max=11, layers=6, samples=5, seed=2),
