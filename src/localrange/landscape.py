@@ -34,7 +34,6 @@ from .costs import Observable
 from .haar import haar_random_unitary
 from .linalg import PAULI, BipartitePartition, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
 
-IMAG_RESIDUE_ATOL = 1e-10
 DEGENERACY_RTOL = 1e-10
 GRID_DEFAULT_RESOLUTION = 64
 
@@ -114,22 +113,6 @@ def _apply_operator(op, states: np.ndarray) -> np.ndarray:
             raise DimensionError(f"operator dim {m.shape[0]} != {d}")
         out = m @ cols
     return out.reshape(d, stack, k).transpose(1, 0, 2)
-
-
-def expectation(h, rho, v) -> float:
-    """C = tr(H V rho V+) = sum_r w_r <psi_r|H|psi_r> with psi_r = V c_r.
-
-    Only state vectors are formed: ``rho`` is a density matrix (its weighted
-    columns c_r) or a pure-state vector; ``v`` is None (identity), a
-    GateProgram or a dense matrix; ``h`` an Observable or a dense matrix.
-    """
-    cols, weights = _state_columns(rho, np.shape(rho)[0])
-    psi = _apply_operator(v, cols[None])
-    val = complex(np.einsum("sxr,sxr,r->", psi.conj(), _apply_operator(h, psi), weights))
-    scale = max(1.0, abs(val))
-    if not abs(val.imag) <= IMAG_RESIDUE_ATOL * scale:  # NaN fails too
-        raise ValueError(f"cost has non-negligible imaginary part {val.imag:.3e}")
-    return val.real
 
 
 def transfer_tensor(h, rho, v1, v2, part: BipartitePartition):
@@ -528,8 +511,10 @@ class ParameterizedCircuit:
         return bound
 
     def cost(self, h, rho, theta) -> float:
-        """C(theta) = tr(H U(theta) rho U(theta)+), on state vectors."""
-        return expectation(h, rho, GateProgram.from_gates(self.n, self.bind(theta)))
+        """C(theta) = tr(H U(theta) rho U(theta)+): the transfer form of U(theta), read at
+        the identity gate on qubit 0."""
+        program = GateProgram.from_gates(self.n, self.bind(theta))
+        return transfer_tensor(h, rho, program, None, BipartitePartition(self.n, (0,))).evaluate(np.eye(2))
 
 
 def parameter_shift_derivative(pc: ParameterizedCircuit, h, rho, theta, mu: int) -> float:

@@ -39,8 +39,11 @@ from localrange.circuits import (
     su4_generators,
 )
 from localrange.costs import qae_hamiltonian
-from localrange.landscape import DEGENERACY_RTOL, IMAG_RESIDUE_ATOL, TransferTensor, VariationResult
+from localrange.landscape import DEGENERACY_RTOL, TransferTensor, VariationResult
 from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
+
+# largest |Im C| / max(1, |C|) that ``generic_cost`` takes for rounding
+IMAG_RESIDUE_ATOL = 1e-10
 
 
 def kron(a, b):

@@ -300,3 +300,45 @@ def test_criterion_7_property_suites(tmp_path):
     ok &= a_path.read_bytes() == b_path.read_bytes()
 
     report("criterion 7: range bounds, fidelity lemmas, telescoping, reproducible CSV", ok)
+
+
+# -- criterion 8: the regime where the bounds bite ---------------------------
+
+
+@pytest.mark.slow
+def test_criterion_8_bounds_at_n12_n14():
+    # Each bound holds for the expectation of delta, so a row fails only when its mean
+    # exceeds the bound by more than 3 standard errors: honest heavy-tailed qsl rows can
+    # sit above a bound on few samples. At m = 2 bound_general is >= w, so only
+    # bound_tight is checked there. markov_tail is >= 1 at these n for every threshold
+    # in MARKOV_EPS, so it cannot fail and is not checked.
+    start = time.time()
+    runs = [  # (task, m, run settings, the bounds its rows are checked against)
+        ("vqe", 1, dict(ensemble_config="both", samples=4), ("bound_general", "bound_tight")),
+        ("qae", 1, dict(ensemble_config="v2_design", samples=8), ("bound_general", "bound_tight")),
+        ("qsl", 1, dict(ensemble_config="both", design_kind="one_design", samples=32),
+         ("bound_general", "bound_tight", "bound_qsl")),
+        ("qae", 2, dict(ensemble_config="v2_design", samples=6), ("bound_tight",)),
+    ]
+    violations, worst, rows = [], 0.0, {}
+    for task, m, settings, bounds in runs:
+        for n in (12, 14):
+            (r,) = run_scaling(ExperimentConfig(task=task, n_min=n, n_max=n, m=m, seed=0, **settings))
+            rows[task, m, n] = r
+            mean = r.mean_delta_over_w * _width(task, n)
+            stderr = r.std_delta / math.sqrt(r.samples)
+            for name in bounds:
+                bound = getattr(r, name)
+                worst = max(worst, (mean + 3 * stderr) / bound)
+                if mean - 3 * stderr > bound:
+                    violations.append((task, m, n, name))
+    # Theorem 1: the qae m = 1 mean falls as 2^(-n/2)
+    cfg = ExperimentConfig(task="qae", n_min=10, n_max=10, ensemble_config="v2_design", samples=8, seed=0)
+    slope = fit_slope(run_scaling(cfg) + [rows["qae", 1, 12], rows["qae", 1, 14]])[0]
+    elapsed = time.time() - start
+    report(
+        "criterion 8: m = 1 and qae m = 2 means within their bounds at n = 12, 14; qae slope near -1/2",
+        not violations and abs(slope + 0.5) <= 0.15 and elapsed < 60,
+        f"violations {violations}, largest (mean + 3 stderr) / bound {worst:.2f}, "
+        f"qae m = 1 slope {slope:.3f}, {elapsed:.1f}s",
+    )

@@ -36,7 +36,6 @@ from localrange.landscape import (
     ParameterizedCircuit,
     coupling_ranks,
     delta_mu,
-    expectation,
     markov_tail,
     parameter_shift_derivative,
     qsl_bound,
@@ -795,24 +794,25 @@ def test_cost_matches_dense_oracle():
 
 
 def test_expectation_rejects_bad_input():
-    h = pauli_word_matrix("ZI")
+    # gate-free circuits: the cost is tr(H rho), read off the transfer form
+    pc2, pc3 = ParameterizedCircuit(2, []), ParameterizedCircuit(3, [])
     with pytest.raises(DimensionError):
-        expectation(h, np.ones(8) / np.sqrt(8), None)
+        pc2.cost(pauli_word_matrix("ZI"), np.ones(8) / np.sqrt(8), [])
     with pytest.raises(DimensionError):
-        expectation(heisenberg(3), np.ones(4) / 2, None)
-    with pytest.raises(ValueError, match="imaginary"):
-        expectation(np.array([[0, 1], [0, 0]]), np.array([1, 1j]) / np.sqrt(2), None)
+        pc3.cost(heisenberg(3), np.ones(4) / 2, [])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pc2.cost(np.kron([[0, 1], [0, 0]], np.eye(2)), np.kron(np.array([1, 1j]) / np.sqrt(2), [1, 0]), [])
     nan_state = np.full(8, np.sqrt(1 / 8), dtype=complex)
     nan_state[3] = np.nan
-    with pytest.raises(ValueError, match="imaginary"):  # NaN fails the residue test
-        expectation(heisenberg(3), nan_state, None)
+    with pytest.raises(ValueError, match="not Hermitian"):  # NaN fails M's Hermiticity test
+        pc3.cost(heisenberg(3), nan_state, [])
 
 
 def test_expectation_rejects_non_hermitian_rho():
     rng = np.random.default_rng(21)
     rho = random_density(8, rng)
     with pytest.raises(ValueError, match="must be Hermitian"):
-        expectation(heisenberg(3), rho + 1j * random_hermitian(8, rng), None)
+        ParameterizedCircuit(3, []).cost(heisenberg(3), rho + 1j * random_hermitian(8, rng), [])
 
 
 def test_parameterized_circuit_forms_no_dense_matrix(monkeypatch):
