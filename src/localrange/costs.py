@@ -133,35 +133,24 @@ def _converged_ritz_value(alpha: list[float], beta: list[float], j: int) -> floa
     return None
 
 
-def heisenberg(n: int, periodic: bool = True) -> Observable:
-    """1-D spin-1/2 antiferromagnetic Heisenberg Hamiltonian.
+def heisenberg(n: int) -> Observable:
+    """1-D spin-1/2 antiferromagnetic Heisenberg Hamiltonian on the periodic ring.
 
-    Sum over bonds of XX + YY + ZZ = 2 SWAP - I; the periodic sum runs
-    i = 0..n-1 with site n identified with site 0, so n=2 counts the single
-    bond twice.
+    Sum over bonds of XX + YY + ZZ = 2 SWAP - I for i = 0..n-1, with site n
+    identified with site 0, so n=2 counts the single bond twice.
     """
     if n < 2:
         raise ValueError("need at least two sites")
-    bonds = range(n) if periodic else range(n - 1)
-    return Observable(n, "swaps", tuple((i, (i + 1) % n) for i in bonds))
+    return Observable(n, "swaps", tuple((i, (i + 1) % n) for i in range(n)))
 
 
-def qae_hamiltonian(n: int, r_sites) -> Observable:
-    """H = I - |0><0|_R x I_Q for the autoencoder cost; spectral width 1."""
-    r = tuple(r_sites)
-    if not r or any(q < 0 or q >= n for q in r) or len(set(r)) != len(r):
-        raise ValueError(f"invalid discard register {r_sites!r} for n={n}")
-    idx = np.arange(2**n)
-    set_in_r = np.zeros(2**n, dtype=bool)
-    for q in r:
-        set_in_r |= ((idx >> (n - 1 - q)) & 1).astype(bool)
-    return Observable(n, "diagonal", set_in_r.astype(float))
+def qae_hamiltonian(n: int) -> Observable:
+    """H = I - |0><0|_R x I_Q with R the last qubit, for the autoencoder cost; width 1."""
+    return Observable(n, "diagonal", (np.arange(2**n) & 1).astype(float))
 
 
-def qsl_hamiltonian(phi: np.ndarray) -> Observable:
-    """H = I - |phi><phi| for the state-learning cost."""
-    phi = np.array(phi, dtype=complex)
-    n = phi.size.bit_length() - 1
-    if phi.ndim != 1 or phi.size != 2**n:
-        raise DimensionError(f"target state must be a vector of length 2^n, got shape {phi.shape}")
-    return Observable(n, "rank_one", phi)
+def qsl_hamiltonian(n: int) -> Observable:
+    """H = I - |0...0><0...0| for the state-learning cost."""
+    e0 = np.zeros(2**n, dtype=complex)
+    e0[0] = 1.0
+    return Observable(n, "rank_one", e0)

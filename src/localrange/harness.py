@@ -129,18 +129,14 @@ class _TaskInstance:
 def setup_task(task: str, n: int, m: int) -> _TaskInstance:
     """The task's observable, fixed input state (if any), w(H) and partition."""
     part = BipartitePartition(n, tuple(range(m)))
+    e0 = np.zeros(2**n, dtype=complex)
+    e0[0] = 1.0
     if task == "vqe":
-        h = heisenberg(n, periodic=True)
-        rho = np.zeros(2**n, dtype=complex)
-        rho[0] = 1.0
+        h, rho = heisenberg(n), e0
     elif task == "qae":
-        h = qae_hamiltonian(n, (n - 1,))
-        rho = None
+        h, rho = qae_hamiltonian(n), None
     else:  # qsl
-        e0 = np.zeros(2**n, dtype=complex)
-        e0[0] = 1.0
-        h = qsl_hamiltonian(e0)
-        rho = e0
+        h, rho = qsl_hamiltonian(n), e0
     return _TaskInstance(h=h, rho=rho, w=spectral_width(h), part=part)
 
 

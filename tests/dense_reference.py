@@ -38,7 +38,6 @@ from localrange.circuits import (
     rotation,
     su4_generators,
 )
-from localrange.costs import qae_hamiltonian
 from localrange.landscape import DEGENERACY_RTOL, TransferTensor, VariationResult
 from localrange.linalg import MAX_DIM, PAULI, DimensionError, as_matrix, is_hermitian, max_abs, to_a_first
 
@@ -111,7 +110,7 @@ def qae_cost(u, rho_qr, r_sites):
     """1 - tr((|0><0|_R x I_Q) U rho U+): failure probability of the compression."""
     um, rm = as_matrix(u), as_matrix(rho_qr)
     n = um.shape[0].bit_length() - 1
-    return generic_cost(qae_hamiltonian(n, r_sites), rm, um)
+    return generic_cost(np.eye(2**n) - projector_zero(n, r_sites), rm, um)
 
 
 def qsl_cost(u, psi, phi):

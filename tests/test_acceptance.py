@@ -318,6 +318,7 @@ def test_criterion_8_bounds_at_n12_n14():
         ("qae", 1, dict(ensemble_config="v2_design", samples=8), ("bound_general", "bound_tight")),
         ("qsl", 1, dict(ensemble_config="both", design_kind="one_design", samples=32),
          ("bound_general", "bound_tight", "bound_qsl")),
+        ("vqe", 2, dict(ensemble_config="both", samples=4), ("bound_tight",)),
         ("qae", 2, dict(ensemble_config="v2_design", samples=6), ("bound_tight",)),
     ]
     violations, worst, rows = [], 0.0, {}
@@ -337,7 +338,7 @@ def test_criterion_8_bounds_at_n12_n14():
     slope = fit_slope(run_scaling(cfg) + [rows["qae", 1, 12], rows["qae", 1, 14]])[0]
     elapsed = time.time() - start
     report(
-        "criterion 8: m = 1 and qae m = 2 means within their bounds at n = 12, 14; qae slope near -1/2",
+        "criterion 8: m = 1 and vqe, qae m = 2 means within their bounds at n = 12, 14; qae slope near -1/2",
         not violations and abs(slope + 0.5) <= 0.15 and elapsed < 60,
         f"violations {violations}, largest (mean + 3 stderr) / bound {worst:.2f}, "
         f"qae m = 1 slope {slope:.3f}, {elapsed:.1f}s",

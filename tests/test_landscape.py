@@ -178,10 +178,8 @@ class TestTransferTensor:
         part = BipartitePartition(n, a_sites)
         ens = CircuitEnsemble("hardware_efficient", n, layers=3)
         v1, v2 = sample_circuit(ens, rng), sample_circuit(ens, rng)
-        e0 = np.zeros(part.d)
-        e0[0] = 1.0
-        observables = (heisenberg(n), heisenberg(n, periodic=False),
-                       qae_hamiltonian(n, (n - 1,)), qsl_hamiltonian(e0))
+        open_chain = Observable(n, "swaps", tuple((i, i + 1) for i in range(n - 1)))
+        observables = (heisenberg(n), open_chain, qae_hamiltonian(n), qsl_hamiltonian(n))
         for h in observables:
             for rho in (random_pure_state(part.d, rng), random_density(part.d, rng, rank=2)):
                 got = transfer_tensor(h, rho, v1, v2, part).tensor
@@ -589,7 +587,7 @@ class TestCouplingRank:
             assert coupling_rank(h, BipartitePartition(n, (0,))) == (0, 3)
 
     def test_qae(self):
-        h = qae_hamiltonian(5, (4,))
+        h = qae_hamiltonian(5)
         assert coupling_rank(h, BipartitePartition(5, (0,))) == (1, 0)
 
     def test_purely_local(self):
@@ -608,7 +606,7 @@ class TestCouplingRank:
             part = BipartitePartition(n, (0,))
             h = heisenberg(n)
             assert tight_bound(h, part) <= task_tight_bound("vqe", n, spectral_width(h)) + 1e-9
-            hq = qae_hamiltonian(n, (n - 1,))
+            hq = qae_hamiltonian(n)
             assert tight_bound(hq, part) <= task_tight_bound("qae", n, 1.0) + 1e-9
 
     # Together these cover every task and m at n = m+1..10.
@@ -868,7 +866,8 @@ def with_rank_one(h, d, seed):
     of transfer_tensor whenever V2 is None or gate programs."""
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return [h, qsl_hamiltonian(np.eye(d)[0]), qsl_hamiltonian(1.3 * phi / np.linalg.norm(phi))]
+    n = d.bit_length() - 1
+    return [h, qsl_hamiltonian(n), Observable(n, "rank_one", 1.3 * phi / np.linalg.norm(phi))]
 
 
 @pytest.mark.parametrize("a_sites", [(0,), (2,), (0, 1), (1, 3)])
